@@ -14,11 +14,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, NoSplitFound, NotCommuting,
-                     NotFullRank, NotInField, PatternViolation)
+from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
+                     NotCommuting, NotFullRank, NotInField, PatternViolation)
 from .exactmat import (Matrix, Scalar, JordanSpec, ZERO, ONE, _coerce,
-                       eigenvalues_in_field, jordan_matrix, jordan_decompose,
-                       poly_deflate)
+                       combination_ranks, eigenvalues_in_field,
+                       jordan_matrix, jordan_decompose, poly_deflate)
 from .nilpoly import TruncPoly, poly_matrix_to_commutant
 
 GRID_VALUES = (0, 1, -1, 2, -2)
@@ -206,15 +206,6 @@ def apply_ilo(psi: TensorState, ops: ILOTriple) -> TensorState:
     return TensorState(psi.L, psi.N, tuple(out))
 
 
-def _combination(psi: TensorState, t):
-    acc = Matrix.zero(psi.N, psi.N)
-    for coeff, g in zip(t, psi.gammas):
-        coeff = _coerce(coeff)
-        if not coeff.is_zero():
-            acc = acc + g.scale(coeff)
-    return acc
-
-
 def _coefficient_sweep(L: int, seed: int):
     """Deterministic small-integer tuples first, then seeded big ones."""
     first = (1,) + (0,) * (L - 1)
@@ -235,8 +226,8 @@ def max_rank_combination(psi: TensorState, seed: int = 0):
     with probability 1; r == N is certified, anything less is best-found.
     """
     best_t, best_r = None, -1
-    for t in _coefficient_sweep(psi.L, seed):
-        r = _combination(psi, t).rank()
+    for t, r in combination_ranks(psi.gammas,
+                                  _coefficient_sweep(psi.L, seed)):
         if r > best_r:
             best_t, best_r = t, r
             if r == psi.N:
@@ -256,14 +247,17 @@ def _completion_matrix(t):
     return Matrix.from_rows(rows)
 
 
-def full_rank_reduce(psi: TensorState, seed: int = 0) -> TensorState:
+def full_rank_reduce(psi: TensorState, seed: int = 0, *,
+                     sweep=None) -> TensorState:
     """Bring the first slot to the exact identity.
 
     T mixes a maximum-rank combination into slot one, then P is its
     inverse and Q stays the identity; the remaining slots are multiplied
-    by that inverse on the left.
+    by that inverse on the left.  sweep is the (t, r) that
+    max_rank_combination(psi, seed) returns, computed here when not
+    given.
     """
-    t, r = max_rank_combination(psi, seed)
+    t, r = sweep or max_rank_combination(psi, seed)
     if r < psi.N:
         raise NotFullRank(f"maximum attained rank {r} < {psi.N}")
     tmat = _completion_matrix(t)
@@ -417,7 +411,8 @@ def rank_normal_form(m: Matrix):
     expected = Matrix.from_rows([[ONE if (i == j and i < r) else ZERO
                                   for j in range(n_cols)]
                                  for i in range(n_rows)])
-    assert (p @ m @ q) == expected
+    if p @ m @ q != expected:
+        raise CheckFailed("p m q differs from diag(I_r, 0)")
     return p, q, r
 
 
@@ -566,15 +561,17 @@ def _decompose_fully(mats, seed: int):
     return done
 
 
-def nonfull_rank_split(psi: TensorState, seed: int = 0) -> PartitionedForm:
+def nonfull_rank_split(psi: TensorState, seed: int = 0, *,
+                       sweep=None) -> PartitionedForm:
     """Split a rank-deficient state per the stabilizer direct-sum form.
 
     The first slot is reduced to diag(I_{N-i}, 0); joint summands are
     found via idempotents of the endomorphism algebra; summands whose
     first-slot restriction is square and invertible form the full-rank
-    part, everything else the remainder.
+    part, everything else the remainder.  sweep is as for
+    full_rank_reduce.
     """
-    t, r = max_rank_combination(psi, seed)
+    t, r = sweep or max_rank_combination(psi, seed)
     deficiency = psi.N - r
     if deficiency == 0:
         raise NotFullRank("state has full rank; use the full-rank pipeline")
@@ -623,13 +620,10 @@ def beta_canonical_check(pf: PartitionedForm, seed: int = 0) -> bool:
     """
     target = pf.m - pf.i
     best = -1
-    for alphas in _coefficient_sweep(len(pf.beta_part), seed):
-        acc = pf.lambda_prime
-        for a, b in zip(alphas, pf.beta_part):
-            a = _coerce(a)
-            if not a.is_zero():
-                acc = acc + b.scale(a)
-        best = max(best, acc.rank())
+    for _, r in combination_ranks(
+            pf.beta_part, _coefficient_sweep(len(pf.beta_part), seed),
+            base=pf.lambda_prime):
+        best = max(best, r)
         if best > target:
             return False
     return best == target

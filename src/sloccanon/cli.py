@@ -238,7 +238,7 @@ def cmd_canonicalize(args) -> int:
     hints = _parse_hints(args.hints)
     t, r = max_rank_combination(psi, seed=args.seed)
     if r < psi.N:
-        pf = nonfull_rank_split(psi, seed=args.seed)
+        pf = nonfull_rank_split(psi, seed=args.seed, sweep=(t, r))
         payload = {
             "kind": "partitioned",
             "max_rank": {"coefficients": [scalar_to_json(c) for c in t],
@@ -266,7 +266,7 @@ def cmd_canonicalize(args) -> int:
                   f"remainder rank condition (= m - i): "
                   f"{payload['beta_rank_condition']}\n", args.output)
         return EXIT_OK
-    reduced = full_rank_reduce(psi, seed=args.seed)
+    reduced = full_rank_reduce(psi, seed=args.seed, sweep=(t, r))
     g3 = reduced.gammas[2] if psi.L == 3 else Matrix.zero(psi.N, psi.N)
     cf, _ = commuting_pair_canonical(reduced.gammas[1], g3, hints=hints)
     payload = {

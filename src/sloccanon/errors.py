@@ -45,6 +45,10 @@ class PatternViolation(SloccError):
     pass
 
 
+class CheckFailed(SloccError):
+    """An internal exactness check failed: a result would be wrong."""
+
+
 class NotFullRank(SloccError):
     pass
 

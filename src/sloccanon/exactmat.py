@@ -5,14 +5,28 @@ every operation here (rank, inverse, characteristic polynomial, Jordan
 decomposition, commutant bases) is exact.  Nothing in this module ever
 touches floating point.  The characteristic polynomial comes from
 Berkowitz's division-free algorithm.
+
+All elimination (rref, rank, nullspace, inverse, det and the rank
+sweeps of ``combination_ranks``) runs through one kernel, ``_eliminate``.
+It scales each row by the least common multiple of its denominators,
+which leaves the row space unchanged, and then runs fraction-free
+Gauss-Jordan elimination over the Gaussian integers: every row is
+brought to the current pivot and divided exactly by the previous one
+(Bareiss, Math. Comp. 22, 1968; the Gauss-Jordan form is that of Nakos,
+Turner and Williams, 1997).  The result is the reduced row echelon form
+times one common denominator.  Because the reduced row echelon form of a
+matrix is unique, rref and everything built on it return exactly what
+Gauss-Jordan elimination in Fractions returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotInField, SingularMatrix
+from .errors import (CheckFailed, DimensionMismatch, NotInField,
+                     SingularMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +107,6 @@ class Scalar:
             out = out * self
         return out
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
@@ -116,7 +127,6 @@ class Scalar:
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
-IUNIT = Scalar.of(0, 1)
 
 
 def _coerce(x) -> Scalar:
@@ -263,12 +273,6 @@ class Matrix:
         return Matrix.from_rows([[self[i, j] for i in range(self.rows)]
                                  for j in range(self.cols)])
 
-    def power(self, k: int) -> "Matrix":
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
@@ -281,26 +285,10 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = [r[:] for r in self.to_rows()]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = next((i for i in range(r, self.rows)
-                       if not m[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inv()
-            m[r] = [inv * e for e in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        re, im, _ = _integer_rows(self)
+        den, pivots = _eliminate(re, im, self.cols)
+        return ([[_quotient(p, q, den) for p, q in zip(rr, ri)]
+                 for rr, ri in zip(re, im)], pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -331,23 +319,11 @@ class Matrix:
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise DimensionMismatch("det of non-square matrix")
-        m = [r[:] for r in self.to_rows()]
-        n = self.rows
-        d = ONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-            if pr is None:
-                return ZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                d = -d
-            d = d * m[c][c]
-            inv = m[c][c].inv()
-            for i in range(c + 1, n):
-                if not m[i][c].is_zero():
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
+        re, im, scale = _integer_rows(self)
+        (dr, di), pivots = _eliminate(re, im, self.cols)
+        if len(pivots) < self.rows:
+            return ZERO
+        return Scalar(Fraction(dr, scale), Fraction(di, scale))
 
     def char_poly(self):
         """Monic characteristic polynomial, constant term first.
@@ -373,6 +349,121 @@ class Matrix:
             poly = [_dot(toeplitz[i::-1], poly[:i + 1])
                     for i in range(k + 2)]
         return tuple(reversed(poly))
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination over the Gaussian integers
+# ---------------------------------------------------------------------------
+
+def _denominator(entries) -> int:
+    """Least common multiple of the denominators of Scalar entries."""
+    return math.lcm(*(x.re.denominator for x in entries),
+                    *(x.im.denominator for x in entries))
+
+
+def _numerators(entries, den: int):
+    """Int lists (re, im) of den times each entry; den must clear them."""
+    return ([x.re.numerator * (den // x.re.denominator) for x in entries],
+            [x.im.numerator * (den // x.im.denominator) for x in entries])
+
+
+def _integer_rows(m: Matrix):
+    """(re, im, scale): row k of m times the lcm of its denominators is
+    re[k] + i*im[k], and scale is the product of those lcms."""
+    re, im, scale = [], [], 1
+    for k in range(m.rows):
+        row = m.entries[k * m.cols:(k + 1) * m.cols]
+        den = _denominator(row)
+        row_re, row_im = _numerators(row, den)
+        re.append(row_re)
+        im.append(row_im)
+        scale *= den
+    return re, im, scale
+
+
+def _eliminate(re, im, cols):
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
+
+    Row k of the input is re[k] + i*im[k], with int entries.  Returns
+    (den, pivots), den a Gaussian integer (re, im): afterwards row k
+    divided by den is row k of the reduced row echelon form, and the
+    rows from len(pivots) on are zero.  Each step brings every other row
+    to the new pivot a and divides exactly by the previous pivot d, so
+    the entries stay minors of the input.  A row swap negates the row it
+    displaces, so for a square invertible input den is its determinant.
+    """
+    nrows = len(re)
+    pivots = []
+    dr, di = 1, 0
+    for c in range(cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((k for k in range(r, nrows) if re[k][c] or im[k][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            re[r], re[p] = re[p], [-x for x in re[r]]
+            im[r], im[p] = im[p], [-x for x in im[r]]
+        yr, yi = re[r], im[r]
+        ar, ai = yr[c], yi[c]
+        n = dr * dr + di * di
+        for k in range(nrows):
+            xr, xi = re[k], im[k]
+            fr, fi = xr[c], xi[c]
+            if k == r or not (fr or fi) and ar == dr and ai == di:
+                continue
+            # a*x - f*y, then an exact division by d
+            sr = [ar * u - ai * v - fr * s + fi * t
+                  for u, v, s, t in zip(xr, xi, yr, yi)]
+            si = [ar * v + ai * u - fr * t - fi * s
+                  for u, v, s, t in zip(xr, xi, yr, yi)]
+            if di:
+                re[k] = [(u * dr + v * di) // n for u, v in zip(sr, si)]
+                im[k] = [(v * dr - u * di) // n for u, v in zip(sr, si)]
+            elif dr != 1:
+                re[k] = [u // dr for u in sr]
+                im[k] = [v // dr for v in si]
+            else:
+                re[k], im[k] = sr, si
+        pivots.append(c)
+        dr, di = ar, ai
+    return (dr, di), pivots
+
+
+def _quotient(p, q, den) -> Scalar:
+    """The Scalar (p + q*i) / den for ints p, q and a Gaussian integer den."""
+    if not (p or q):
+        return ZERO
+    dr, di = den
+    if di:
+        p, q, dr = p * dr + q * di, q * dr - p * di, dr * dr + di * di
+    return Scalar(Fraction(p, dr), Fraction(q, dr))
+
+
+def combination_ranks(mats, tuples, base=None):
+    """Yield (t, rank(base + sum_j t[j] * mats[j])) for each int tuple t.
+
+    The matrices are cleared once to one common denominator D; since
+    rank(D * M) = rank(M), each combination is formed in Gaussian
+    integers and ranked by the elimination kernel, with no Scalar built
+    per tuple.  base defaults to the zero matrix.
+    """
+    terms = list(mats) if base is None else [base, *mats]
+    rows, cols = terms[0].rows, terms[0].cols
+    den = _denominator([x for m in terms for x in m.entries])
+    flat = [_numerators(m.entries, den) for m in terms]
+    start = ([0] * (rows * cols),) * 2 if base is None else flat.pop(0)
+    for t in tuples:
+        acc_re, acc_im = start
+        for c, (mr, mi) in zip(t, flat):
+            if c:
+                acc_re = [a + c * b for a, b in zip(acc_re, mr)]
+                acc_im = [a + c * b for a, b in zip(acc_im, mi)]
+        _, pivots = _eliminate(
+            [acc_re[k:k + cols] for k in range(0, rows * cols, cols)],
+            [acc_im[k:k + cols] for k in range(0, rows * cols, cols)], cols)
+        yield t, len(pivots)
 
 
 def poly_eval(coeffs, x: Scalar) -> Scalar:
@@ -594,8 +685,10 @@ def jordan_decompose(m: Matrix, hints=None):
             blocks.append((lam, h))
     spec = JordanSpec(tuple(blocks))
     s = Matrix.from_columns(columns)
-    assert spec.is_normalized()
-    assert s.inverse() @ m @ s == jordan_matrix(spec)
+    if not spec.is_normalized():
+        raise CheckFailed(f"Jordan spec is not normalized: {spec}")
+    if s.inverse() @ m @ s != jordan_matrix(spec):
+        raise CheckFailed("s^-1 m s differs from the Jordan matrix")
     return s, spec
 
 

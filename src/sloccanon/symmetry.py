@@ -259,10 +259,6 @@ def _solve_affine(a: Matrix, rhs):
     return particular, a.nullspace()
 
 
-def _sym_series(coeffs):
-    return list(coeffs)
-
-
 def _sym_mul(f, g):
     n = len(f)
     out = [sympy.Integer(0)] * n

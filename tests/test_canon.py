@@ -3,15 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
-                             TensorState, apply_ilo, beta_canonical_check,
-                             commuting_pair_canonical, eigen_shift,
-                             full_rank_reduce, max_rank_combination,
-                             nonfull_rank_split, rank_normal_form)
-from sloccanon.errors import (DimensionMismatch, NotCommuting, NotFullRank,
-                              NotInField)
+                             TensorState, _coefficient_sweep, apply_ilo,
+                             beta_canonical_check, commuting_pair_canonical,
+                             eigen_shift, full_rank_reduce,
+                             max_rank_combination, nonfull_rank_split,
+                             rank_normal_form)
+from sloccanon.errors import (CheckFailed, DimensionMismatch, NotCommuting,
+                              NotFullRank, NotInField)
 from sloccanon.exactmat import (JordanSpec, Matrix, Scalar, jordan_block,
                                 jordan_matrix)
 
@@ -85,6 +86,87 @@ def test_max_rank_deficient_case():
     psi = state(Matrix.diagonal([1, 0]), Matrix.diagonal([2, 0]))
     _, r = max_rank_combination(psi)
     assert r == 1
+
+
+def _scalar_max_rank(psi, seed):
+    """The sweep evaluated on Scalar matrices, tuple by tuple."""
+    best_t, best_r = None, -1
+    for t in _coefficient_sweep(psi.L, seed):
+        acc = Matrix.zero(psi.N, psi.N)
+        for c, g in zip(t, psi.gammas):
+            acc = acc + g.scale(c)
+        r = acc.rank()
+        if r > best_r:
+            best_t, best_r = t, r
+            if r == psi.N:
+                break
+    return tuple(sc(c) for c in best_t), best_r
+
+
+def _scalar_beta_check(pf, seed):
+    target, best = pf.m - pf.i, -1
+    for alphas in _coefficient_sweep(len(pf.beta_part), seed):
+        acc = pf.lambda_prime
+        for a, b in zip(alphas, pf.beta_part):
+            acc = acc + b.scale(a)
+        best = max(best, acc.rank())
+        if best > target:
+            return False
+    return best == target
+
+
+sweep_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def sweep_matrices(draw, count, n, zero_last=0):
+    """count n x n matrices, real or complex, of three drawn kinds:
+    random; each multiplied by one fixed singular matrix on the left or
+    the right, so that no combination has rank n; or, when zero_last is
+    set, with their last zero_last rows (left) or columns (right) zero."""
+    imag = st.just(Fraction(0)) if draw(st.booleans()) else sweep_fractions
+
+    def matrix():
+        return Matrix(n, n, [Scalar(draw(sweep_fractions), draw(imag))
+                             for _ in range(n * n)])
+    side = draw(st.sampled_from([None, "left", "right"]))
+    mats = [matrix() for _ in range(count)]
+    if side and zero_last:
+        keep = n - zero_last
+        mats = [Matrix(n, n, [
+            sc(0) if (i if side == "left" else j) >= keep else m[i, j]
+            for i in range(n) for j in range(n)])
+            for m in mats]
+    elif side:
+        k = matrix().to_rows()
+        k[-1] = [a + b for a, b in zip(k[0], k[-2])] if n > 1 \
+            else [sc(0)]
+        k = Matrix.from_rows(k)
+        mats = [k @ m if side == "left" else m @ k for m in mats]
+    return mats
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda L: st.tuples(st.just(L), st.integers(1, 4))).flatmap(
+    lambda ln: sweep_matrices(*ln)), st.integers(0, 3))
+def test_max_rank_matches_scalar_sweep(gammas, seed):
+    assume(not all(g.is_zero() for g in gammas))
+    psi = state(*gammas)
+    assert max_rank_combination(psi, seed) == _scalar_max_rank(psi, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.integers(1, m - 1).flatmap(
+    lambda i: st.tuples(st.just(m), st.just(i), st.integers(1, 2).flatmap(
+        lambda k: sweep_matrices(k, m, zero_last=i))))), st.integers(0, 3))
+def test_beta_check_matches_scalar_sweep(args, seed):
+    m, i, betas = args
+    assume(not all(b.is_zero() for b in betas))
+    lam = Matrix.diagonal([1] * (m - i) + [0] * i)
+    pf = PartitionedForm(0, m, i, (Matrix.identity(0),) * len(betas),
+                         tuple(betas), lam)
+    assert beta_canonical_check(pf, seed) == _scalar_beta_check(pf, seed)
 
 
 # -- full rank reduce and eigen shift ---------------------------------------
@@ -225,6 +307,19 @@ def test_rank_normal_form(vals):
     for i in range(2):
         for j in range(3):
             assert out[i, j] == (sc(1) if i == j and i < r else sc(0))
+
+
+def test_rank_normal_form_check_raises_domain_error(monkeypatch):
+    real_rref = Matrix.rref
+
+    def skewed(self):
+        rows, pivots = real_rref(self)
+        rows[0] = [e + e for e in rows[0]]
+        return rows, pivots
+
+    monkeypatch.setattr(Matrix, "rref", skewed)
+    with pytest.raises(CheckFailed):
+        rank_normal_form(M([[1, 2, 3], [0, 1, 1]]))
 
 
 # -- non-full-rank split ----------------------------------------------------

@@ -1,14 +1,17 @@
 """Exact scalar and matrix algebra over the Gaussian rationals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sloccanon.errors import NotInField, SingularMatrix
-from sloccanon.exactmat import (JordanSpec, Matrix, Scalar, commutant_basis,
-                                eigenvalues_in_field, jordan_block,
-                                jordan_decompose, jordan_matrix, poly_eval)
+from sloccanon import exactmat
+from sloccanon.errors import CheckFailed, NotInField, SingularMatrix
+from sloccanon.exactmat import (JordanSpec, Matrix, Scalar, combination_ranks,
+                                commutant_basis, eigenvalues_in_field,
+                                jordan_block, jordan_decompose, jordan_matrix,
+                                poly_eval)
 
 
 def sc(re, im=0):
@@ -108,6 +111,123 @@ def test_det_matches_cofactor_oracle(vals):
     assert (m.rank() == 3) == (not m.det().is_zero())
 
 
+# -- elimination against a Fraction-pair reference -------------------------
+
+def _reference_rref(m):
+    """Gauss-Jordan elimination on (re, im) Fraction pairs."""
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def inv(a):
+        n = a[0] * a[0] + a[1] * a[1]
+        return (a[0] / n, -a[1] / n)
+
+    rows = [[(e.re, e.im) for e in m.row(i)] for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, m.rows) if any(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        f = inv(rows[r][c])
+        rows[r] = [mul(f, e) for e in rows[r]]
+        for i in range(m.rows):
+            if i != r and any(rows[i][c]):
+                g = rows[i][c]
+                rows[i] = [(a[0] - p[0], a[1] - p[1]) for a, p in
+                           zip(rows[i], (mul(g, b) for b in rows[r]))]
+        pivots.append(c)
+    return [[Scalar(*e) for e in row] for row in rows], pivots
+
+
+wide_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=9, square=False):
+    """Real or complex matrices from 0 x 0 to 7 x 9, some rows linear
+    combinations of earlier ones, some rows and columns zero."""
+    n_rows = draw(st.integers(0, max_rows))
+    n_cols = n_rows if square else draw(st.integers(0, max_cols))
+    real = draw(st.booleans())
+    imag = st.just(Fraction(0)) if real else wide_fractions
+    rows = [[Scalar(draw(wide_fractions), draw(imag)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    coeffs = st.builds(Scalar, small_fractions,
+                       st.just(Fraction(0)) if real else small_fractions)
+    for i in range(1, n_rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            ca, cb = draw(coeffs), draw(coeffs)
+            rows[i] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    zero_rows = draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(n_cols - 1, 0)), max_size=2))
+    return Matrix(n_rows, n_cols, [
+        Scalar.of(0) if i in zero_rows or j in zero_cols else rows[i][j]
+        for i in range(n_rows) for j in range(n_cols)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_fraction_reference(m):
+    assert m.rref() == _reference_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=6, square=True))
+def test_inverse_and_det_match_rank(m):
+    n = m.rows
+    if m.rank() == n:
+        assert m @ m.inverse() == Matrix.identity(n)
+        assert m.inverse() @ m == Matrix.identity(n)
+        assert m.det() == Scalar.of(1) / m.inverse().det()
+    else:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        assert m.det().is_zero()
+    if n <= 5:
+        assert m.det() == (_det3(m) if n else Scalar.of(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_is_kernel_of_right_dimension(m):
+    basis = m.nullspace()
+    assert len(basis) == m.cols - m.rank()
+    for v in basis:
+        assert (m @ Matrix(m.cols, 1, v)).is_zero()
+
+
+# Few distinct values, so that combinations often cancel and the rank
+# drops; the denominators differ from entry to entry.
+cancelling_scalars = st.sampled_from(
+    [sc(0), sc(1), sc(-1), sc(Fraction(1, 2)), sc(Fraction(-2, 3)),
+     sc(0, Fraction(1, 2)), sc(1, -1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(cancelling_scalars, min_size=n * n, max_size=n * n)
+             .map(lambda vals: Matrix(n, n, vals)), min_size=2, max_size=3),
+    st.one_of(st.none(), st.lists(cancelling_scalars, min_size=n * n,
+                                  max_size=n * n)
+              .map(lambda vals: Matrix(n, n, vals))))))
+def test_combination_ranks_match_scalar_combinations(args):
+    mats, base = args
+    tuples = list(itertools.product((0, 1, -1, 2, -3), repeat=len(mats)))
+    expected = []
+    for t in tuples:
+        acc = base if base is not None else Matrix.zero(mats[0].rows,
+                                                        mats[0].cols)
+        for c, m in zip(t, mats):
+            acc = acc + m.scale(c)
+        expected.append((t, acc.rank()))
+    assert list(combination_ranks(mats, tuples, base=base)) == expected
+
+
 # -- characteristic polynomial ---------------------------------------------
 
 def test_char_poly_examples():
@@ -201,6 +321,19 @@ def test_jordan_witness_roundtrip(vals, blocks):
     assert out == spec.normalized()
     assert s.inverse() @ m @ s == jordan_matrix(out)
     assert s @ jordan_matrix(out) @ s.inverse() == m
+
+
+def test_jordan_checks_raise_domain_errors(monkeypatch):
+    m = M([[5, 4], [-4, -3]])
+    real_jordan_matrix = jordan_matrix
+    monkeypatch.setattr(exactmat, "jordan_matrix",
+                        lambda spec: real_jordan_matrix(spec).scale(2))
+    with pytest.raises(CheckFailed):
+        jordan_decompose(m)
+    monkeypatch.undo()
+    monkeypatch.setattr(JordanSpec, "is_normalized", lambda self: False)
+    with pytest.raises(CheckFailed):
+        jordan_decompose(m)
 
 
 # -- commutant basis --------------------------------------------------------
