@@ -18,7 +18,7 @@ from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
                      NotCommuting, NotFullRank, NotInField, PatternViolation)
 from .exactmat import (Matrix, Scalar, JordanSpec, ZERO, ONE, _coerce,
                        combination_ranks, eigenvalues_in_field,
-                       jordan_matrix, jordan_decompose, poly_deflate)
+                       jordan_matrix, jordan_decompose)
 from .nilpoly import TruncPoly, poly_matrix_to_commutant
 
 GRID_VALUES = (0, 1, -1, 2, -2)

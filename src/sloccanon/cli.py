@@ -18,9 +18,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (DegenerateParameter, NotCommuting, NotFullRank,
-                     NotInField, ParseError, SloccError)
-from .exactmat import Matrix, Scalar, ZERO
+from .errors import (DegenerateParameter, NotCommuting, NotInField,
+                     ParseError, SloccError)
+from .exactmat import Matrix, Scalar
 from .canon import (CanonicalForm, TensorState, beta_canonical_check,
                     commuting_pair_canonical, full_rank_reduce,
                     max_rank_combination, nonfull_rank_split)
@@ -63,6 +63,15 @@ def parse_scalar(text: str, where: str = "literal") -> Scalar:
     if m.group("im2") is not None:
         return Scalar(Fraction(0), _fraction(m.group("im2"), where))
     return Scalar(_fraction(m.group("re2"), where), Fraction(0))
+
+
+def _integer(v, where: str) -> int:
+    """A JSON int, or a string of one; floats and booleans are refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and re.fullmatch(r"\s*[+-]?\d+\s*", v):
+        return int(v)
+    raise ParseError(f"{where}: expected an integer, got {v!r}")
 
 
 def scalar_to_json(s: Scalar):
@@ -159,13 +168,16 @@ def canon_from_json(obj) -> CanonicalForm:
             raise ParseError(f"{where}: missing lambda")
         lam = scalar_from_json(blk["lambda"], where)
         if "coeffs" in blk:
-            size = int(blk.get("size", len(blk["coeffs"])))
+            size = _integer(blk.get("size", len(blk["coeffs"])), where)
             coeffs = [scalar_from_json(c, where) for c in blk["coeffs"]]
             if len(coeffs) != size or size < 1:
                 raise ParseError(f"{where}: need exactly {size} coefficients")
             simple_blocks.append((lam, size, tuple(coeffs)))
         elif "grid" in blk:
-            sizes = tuple(int(s) for s in blk.get("sizes", ()))
+            sizes = blk.get("sizes", [])
+            if not isinstance(sizes, list):
+                raise ParseError(f"{where}: sizes must be a list")
+            sizes = tuple(_integer(s, where) for s in sizes)
             if not sizes:
                 raise ParseError(f"{where}: grid blocks need sizes")
             n1 = sizes[0]

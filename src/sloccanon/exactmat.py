@@ -77,7 +77,7 @@ class Scalar:
             if not a:
                 return self
             if not d:
-                return Scalar(a * c, b)
+                return Scalar(a * c, b) if c else other
             return Scalar(a * c, a * d)
         if not d:
             if not c:
@@ -110,6 +110,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def sort_key(self):
         """Lexicographic (re, im) total order used for normalization."""
         return (self.re, self.im)
@@ -133,7 +136,10 @@ def _coerce(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar(Fraction(x), Fraction(0))
+        # the series code takes its zero and one as c * 0 and 1 + zero
+        if x == 0:
+            return ZERO
+        return ONE if x == 1 else Scalar(Fraction(x), Fraction(0))
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
@@ -474,7 +480,10 @@ def poly_eval(coeffs, x: Scalar) -> Scalar:
 
 
 def poly_deflate(coeffs, root: Scalar):
-    """Divide by (x - root); assumes root is exact. Constant-first coeffs."""
+    """Divide by (x - root); constant-first coeffs.
+
+    root must be an exact root; CheckFailed otherwise.
+    """
     n = len(coeffs) - 1
     out = [ZERO] * n
     acc = coeffs[n]
@@ -482,7 +491,7 @@ def poly_deflate(coeffs, root: Scalar):
         out[k] = acc
         acc = coeffs[k] + acc * root
     if not acc.is_zero():
-        raise ValueError("not a root")
+        raise CheckFailed(f"{root} is not a root")
     return out
 
 
@@ -548,28 +557,6 @@ def jordan_block(lam: Scalar, n: int) -> Matrix:
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
     return Matrix.block_diag([jordan_block(lam, n) for lam, n in spec.blocks])
-
-
-class _Span:
-    """Incremental row space with deterministic lowest-index pivots."""
-
-    def __init__(self):
-        self.rows = []   # reduced rows
-        self.pivots = []
-
-    def add(self, vec) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        p = next((i for i, e in enumerate(v) if not e.is_zero()), None)
-        if p is None:
-            return False
-        inv = v[p].inv()
-        self.rows.append([inv * e for e in v])
-        self.pivots.append(p)
-        return True
 
 
 def eigenvalues_in_field(m: Matrix, hints=None):
@@ -645,6 +632,10 @@ def jordan_decompose(m: Matrix, hints=None):
     Returns (s, spec) with s invertible and s^-1 @ m @ s equal to
     jordan_matrix(spec) exactly.  Chain vectors are chosen by lowest-index
     pivots so the output is deterministic; spec comes out normalized.
+    The chain tops of height k are the kernel vectors of (m - lam)^k that
+    are pivot columns after the kernel of (m - lam)^(k-1) and the images
+    of the longer chains, so each one lies outside the span of all the
+    vectors before it.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("jordan_decompose of non-square matrix")
@@ -671,14 +662,11 @@ def jordan_decompose(m: Matrix, hints=None):
         top = len(dims) - 1
         chains = []  # (top vector, height), heights non-increasing
         for k in range(top, 0, -1):
-            span = _Span()
-            for w in nulls[k - 1]:
-                span.add(w)
-            for v, h in chains:
-                span.add(_apply(powers[h - k], v))
-            for w in nulls[k]:
-                if span.add(w):
-                    chains.append((w, k))
+            known = nulls[k - 1] + [_apply(powers[h - k], v)
+                                    for v, h in chains]
+            _, pivots = Matrix.from_columns(known + nulls[k]).rref()
+            chains.extend((nulls[k][p - len(known)], k)
+                          for p in pivots if p >= len(known))
         for v, h in chains:
             for j in range(h - 1, -1, -1):
                 columns.append(_apply(powers[j], v))
@@ -687,8 +675,8 @@ def jordan_decompose(m: Matrix, hints=None):
     s = Matrix.from_columns(columns)
     if not spec.is_normalized():
         raise CheckFailed(f"Jordan spec is not normalized: {spec}")
-    if s.inverse() @ m @ s != jordan_matrix(spec):
-        raise CheckFailed("s^-1 m s differs from the Jordan matrix")
+    if s.rank() != n or m @ s != s @ jordan_matrix(spec):
+        raise CheckFailed("s is not a Jordan basis of m")
     return s, spec
 
 

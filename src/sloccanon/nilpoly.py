@@ -4,15 +4,46 @@ All arithmetic is modulo x**order, where x stands for the n x n shift
 matrix J_n(0).  This is the computational engine behind the parametric
 symmetry maps: reciprocals, composition, and shifted compositional
 inversion are all exact triangular solves.
+
+The series operations (mul, reciprocal, compose, shifted_reversion) are
+generic over the coefficient field, which is one of two:
+
+- the Gaussian rationals, as ``exactmat.Scalar``, for the numeric maps;
+- a field of rational functions over them, as elements of
+  ``sympy.polys.fields.field(symbols, QQ_I)``, for the symbolic witness
+  search in ``symmetry``.
+
+The code tests zero as ``not c``, inverts as ``1 / c`` and takes its zero
+and one from the coefficients, so a polynomial over one field stays in
+it.  int and Fraction coefficients become Scalars; anything else is a
+TypeError.  Field elements are kept in lowest terms, so every division
+cancels as it goes, as Scalar arithmetic does.  The matrix helpers below
+the series operations work over the Gaussian rationals only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from sympy.polys.fields import FracElement
+
 from .errors import (NotInvertible, NotReversible, NotToeplitz,
                      OrderMismatch, PatternViolation)
-from .exactmat import Matrix, Scalar, ZERO, ONE, _coerce, jordan_block
+from .exactmat import Matrix, Scalar, ZERO, _coerce, jordan_block
+
+
+def _coefficient(c):
+    """c in one of the supported fields; int and Fraction become Scalars."""
+    return c if isinstance(c, (Scalar, FracElement)) else _coerce(c)
+
+
+def _zero(c):
+    """The zero of the field that the coefficient c lies in.
+
+    Its one is ``1 + zero``: sympy's ``zero + 1`` returns the int 1, but
+    the reflected sum stays in the field.
+    """
+    return c * 0
 
 
 @dataclass(frozen=True)
@@ -23,7 +54,7 @@ class TruncPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(_coerce(c) for c in self.coeffs)
+        coeffs = tuple(_coefficient(c) for c in self.coeffs)
         if len(coeffs) != self.order or self.order < 1:
             raise OrderMismatch(
                 f"need {self.order} coefficients, got {len(coeffs)}")
@@ -31,21 +62,20 @@ class TruncPoly:
 
     @staticmethod
     def constant(c, order: int) -> "TruncPoly":
-        return TruncPoly(order, (_coerce(c),) + (ZERO,) * (order - 1))
+        c = _coefficient(c)
+        return TruncPoly(order, (c,) + (_zero(c),) * (order - 1))
 
     @staticmethod
-    def variable(order: int) -> "TruncPoly":
+    def variable(order: int, at=0) -> "TruncPoly":
+        """at + x, in the field of at (the Gaussian rationals by default)."""
+        at = _coefficient(at)
         if order < 2:
-            return TruncPoly.constant(0, order)
-        return TruncPoly(order, (ZERO, ONE) + (ZERO,) * (order - 2))
-
-    def resized(self, order: int) -> "TruncPoly":
-        """Truncate or zero-pad to a different order."""
-        c = self.coeffs[:order] + (ZERO,) * max(0, order - self.order)
-        return TruncPoly(order, c)
+            return TruncPoly.constant(at, order)
+        zero = _zero(at)
+        return TruncPoly(order, (at, 1 + zero) + (zero,) * (order - 2))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
         _check(self, other)
@@ -61,13 +91,13 @@ class TruncPoly:
         return TruncPoly(self.order, tuple(-c for c in self.coeffs))
 
     def scale(self, s) -> "TruncPoly":
-        s = _coerce(s)
+        s = _coefficient(s)
         return TruncPoly(self.order, tuple(s * c for c in self.coeffs))
 
     def __str__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if c:
                 terms.append(f"({c})" + ("" if k == 0 else f"*x^{k}"))
         return " + ".join(terms) if terms else "0"
 
@@ -81,38 +111,39 @@ def mul(f: TruncPoly, g: TruncPoly) -> TruncPoly:
     """Cauchy product truncated at the common order."""
     _check(f, g)
     n = f.order
-    out = [ZERO] * n
+    out = [_zero(f.coeffs[0])] * n
     for i, a in enumerate(f.coeffs):
-        if a.is_zero():
+        if not a:
             continue
         for j in range(n - i):
             b = g.coeffs[j]
-            if not b.is_zero():
+            if b:
                 out[i + j] = out[i + j] + a * b
     return TruncPoly(n, tuple(out))
 
 
 def reciprocal(f: TruncPoly) -> TruncPoly:
     """g with mul(f, g) == 1; exact triangular back-substitution."""
-    if f.coeffs[0].is_zero():
+    c = f.coeffs
+    if not c[0]:
         raise NotInvertible("constant term is zero")
-    n = f.order
-    inv0 = f.coeffs[0].inv()
-    out = [inv0] + [ZERO] * (n - 1)
-    for m in range(1, n):
-        acc = ZERO
-        for k in range(1, m + 1):
-            acc = acc + f.coeffs[k] * out[m - k]
-        out[m] = -inv0 * acc
-    return TruncPoly(n, tuple(out))
+    inv0 = 1 / c[0]
+    out = [inv0]
+    for m in range(1, f.order):
+        acc = c[1] * out[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + c[k] * out[m - k]
+        out.append(-inv0 * acc)
+    return TruncPoly(f.order, tuple(out))
 
 
 def compose(f: TruncPoly, g: TruncPoly) -> TruncPoly:
-    """f(g(x)) truncated; g may have a nonzero constant term."""
+    """f(g(x)) truncated, by Horner's rule; g may have a nonzero constant."""
     _check(f, g)
-    acc = TruncPoly.constant(0, f.order)
-    for c in reversed(f.coeffs):
-        acc = mul(acc, g) + TruncPoly.constant(c, f.order)
+    acc = TruncPoly.constant(f.coeffs[-1], f.order)
+    for c in reversed(f.coeffs[:-1]):
+        acc = mul(acc, g)
+        acc = TruncPoly(f.order, (acc.coeffs[0] + c,) + acc.coeffs[1:])
     return acc
 
 
@@ -124,12 +155,13 @@ def shifted_reversion(f: TruncPoly) -> TruncPoly:
     triangularly: b_k is fixed by the x**k coefficient.
     """
     n = f.order
-    h = TruncPoly(n, (ZERO,) + f.coeffs[1:])
-    if n > 1 and h.coeffs[1].is_zero():
+    zero = _zero(f.coeffs[0])
+    h = TruncPoly(n, (zero,) + f.coeffs[1:])
+    if n > 1 and not h.coeffs[1]:
         raise NotReversible("linear coefficient is zero")
-    out = [ZERO] * n
-    residual = TruncPoly.variable(n)
-    hpow = TruncPoly.constant(1, n)
+    out = [zero] * n
+    residual = TruncPoly.variable(n, zero)
+    hpow = TruncPoly.constant(1 + zero, n)
     for k in range(1, n):
         hpow = mul(hpow, h)
         bk = residual.coeffs[k] / hpow.coeffs[k]

@@ -6,6 +6,14 @@ diagonal rescale.  On a single Jordan block every map is truncated
 polynomial functional calculus; derogatory spectra and eigenvalue
 collisions fall back to explicit matrix re-canonicalization, which is
 the defining computation anyway.
+
+The orbit decision solves for a witness T.  The per-block constants give
+linear equations on T's entries; the entries left free span an affine
+family.  The higher coefficients then give polynomial equations on that
+family.  Their numerators come from ``_block_transform`` itself, run over
+a field of rational functions in the family's parameters, so the
+symbolic search and the numeric maps share one series implementation
+(``nilpoly``).
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.fields import field
 
 from .errors import (DegenerateParameter, NotInvertible, NotReversible,
                      SingularMatrix, ZeroScale)
@@ -43,9 +53,6 @@ class SymmetryParams:
     def identity() -> "SymmetryParams":
         return SymmetryParams(ZERO, ZERO, ZERO, ONE, ONE)
 
-    def is_identity(self) -> bool:
-        return self == SymmetryParams.identity()
-
 
 def matrix_of_params(sp: SymmetryParams) -> Matrix:
     """The upper-triangular T realizing (rescale, JA, EA, EJ) in order."""
@@ -65,23 +72,18 @@ def _row_of_params(sp: SymmetryParams):
 # Single-block functional calculus
 # ---------------------------------------------------------------------------
 
-def _block_poly(lam: Scalar, n: int) -> TruncPoly:
-    """lam + x at truncation order n."""
-    coeffs = [lam] + [ZERO] * (n - 1)
-    if n >= 2:
-        coeffs[1] = ONE
-    return TruncPoly(n, tuple(coeffs))
-
-
-def _block_transform(lam: Scalar, f: TruncPoly, trow):
+def _block_transform(lam, f: TruncPoly, trow):
     """Map one block (lam, f) under T; returns (lam', f').
 
     The transformed pair is (g1^-1 * jn, g1^-1 * an); re-Jordanizing the
     first factor is a compositional reversion applied to the second.
+    lam, f and the entries of trow lie in one of nilpoly's coefficient
+    fields: Scalars for the maps, rational functions for the witness
+    equations.
     """
     (t11, t12, t13), (t22, t23), t33 = trow
     n = f.order
-    p = _block_poly(lam, n)
+    p = TruncPoly.variable(n, lam)
     g1 = TruncPoly.constant(t11, n) + p.scale(t12) + f.scale(t13)
     try:
         r1 = reciprocal(g1)
@@ -211,10 +213,6 @@ _PIN_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                Fraction(1, 2), Fraction(-2))
 
 
-def _scalar_to_sympy(s: Scalar):
-    return sympy.Rational(s.re) + sympy.I * sympy.Rational(s.im)
-
-
 def _scalar_from_sympy(expr) -> Scalar:
     e = sympy.expand(sympy.cancel(expr))
     re, im = e.as_real_imag()
@@ -259,76 +257,32 @@ def _solve_affine(a: Matrix, rhs):
     return particular, a.nullspace()
 
 
-def _sym_mul(f, g):
-    n = len(f)
-    out = [sympy.Integer(0)] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] = out[i + j] + f[i] * g[j]
-    return out
-
-
-def _sym_reciprocal(f):
-    n = len(f)
-    inv0 = 1 / f[0]
-    out = [inv0] + [sympy.Integer(0)] * (n - 1)
-    for m in range(1, n):
-        acc = sympy.Integer(0)
-        for k in range(1, m + 1):
-            acc = acc + f[k] * out[m - k]
-        out[m] = -inv0 * acc
-    return out
-
-
-def _sym_reversion(f):
-    """g with g(f - f0) = x, coefficients as rational expressions."""
-    n = len(f)
-    h = [sympy.Integer(0)] + list(f[1:])
-    out = [sympy.Integer(0)] * n
-    residual = [sympy.Integer(0)] * n
-    if n > 1:
-        residual[1] = sympy.Integer(1)
-    hpow = [sympy.Integer(1)] + [sympy.Integer(0)] * (n - 1)
-    for k in range(1, n):
-        hpow = _sym_mul(hpow, h)
-        bk = sympy.cancel(residual[k] / hpow[k])
-        out[k] = bk
-        residual = [r - bk * hp for r, hp in zip(residual, hpow)]
-    return out
-
-
-def _sym_compose(f, g):
-    n = len(f)
-    acc = [sympy.Integer(0)] * n
-    for c in reversed(f):
-        acc = _sym_mul(acc, g)
-        acc[0] = acc[0] + c
-    return acc
+def _field_element(k, s: Scalar):
+    """The Gaussian rational s as a constant of the function field k."""
+    return k(QQ_I(s.re, s.im))
 
 
 def _residual_equations(blocks1, blocks2, entries):
-    """Numerators of the higher-coefficient matching conditions."""
+    """Numerators of the higher-coefficient matching conditions.
+
+    entries are (u2, u3, v2, v3, w3), elements of one rational-function
+    field; each block of blocks1 is mapped by _block_transform under the
+    T row they make, and its coefficients of degree >= 1 must equal those
+    of the matched block of blocks2.
+    """
     u2, u3, v2, v3, w3 = entries
+    k = u2.field
+    trow = ((k.one, u2, u3), (v2, v3), w3)
     eqs = []
-    for (lam, n, cs), (lam2, _, cs2) in zip(blocks1, blocks2):
+    for (lam, n, cs), (_, _, cs2) in zip(blocks1, blocks2):
         if n < 2:
             continue
-        lam_s = _scalar_to_sympy(lam)
-        f = [_scalar_to_sympy(c) for c in cs]
-        p = [lam_s] + [sympy.Integer(0)] * (n - 1)
-        p[1] = sympy.Integer(1)
-        g1 = [sympy.Integer(1) + u2 * p[0] + u3 * f[0]] + \
-             [u2 * p[k] + u3 * f[k] for k in range(1, n)]
-        r1 = _sym_reciprocal(g1)
-        hj = _sym_mul([v2 * p[k] + v3 * f[k] for k in range(n)], r1)
-        ha = _sym_mul([w3 * c for c in f], r1)
-        out = _sym_compose(ha, _sym_reversion(hj))
-        for k in range(1, n):
-            diff = sympy.together(out[k] - _scalar_to_sympy(cs2[k]))
-            num, _ = sympy.fraction(diff)
-            num = sympy.expand(num)
-            if num != 0:
-                eqs.append(num)
+        f = TruncPoly(n, tuple(_field_element(k, c) for c in cs))
+        _, f2 = _block_transform(_field_element(k, lam), f, trow)
+        for i in range(1, n):
+            num = (f2.coeffs[i] - _field_element(k, cs2[i])).numer
+            if num:
+                eqs.append(num.as_expr())
     return eqs
 
 
@@ -343,13 +297,23 @@ def _witness_candidates(blocks1, blocks2, max_pins=1296):
         sp = _params_from_entries(particular)
         return ([sp] if sp else []), False
     syms = sympy.symbols(f"s0:{len(basis)}")
+    k, *gens = field(syms, QQ_I)
     entries = []
     for i in range(5):
-        e = _scalar_to_sympy(particular[i])
-        for s, b in zip(syms, basis):
-            e = e + s * _scalar_to_sympy(b[i])
-        entries.append(sympy.expand(e))
-    eqs = _residual_equations(blocks1, blocks2, entries)
+        e = _field_element(k, particular[i])
+        for s, b in zip(gens, basis):
+            e = e + s * _field_element(k, b[i])
+        entries.append(e)
+    try:
+        eqs = _residual_equations(blocks1, blocks2, entries)
+    except DegenerateParameter:
+        # a block's first slot, or the linear term of its Jordan part,
+        # vanishes on the whole family.  The first forces v2 = 0 or
+        # w3 = 0 through the constant equations; the second splits the
+        # block into smaller ones.  So no member of the family is a
+        # witness.
+        return [], False
+    exprs = [e.as_expr() for e in entries]
     candidates, open_family = [], False
     if not eqs:
         assignments = [dict(zip(syms, pins)) for pins in
@@ -382,7 +346,7 @@ def _witness_candidates(blocks1, blocks2, max_pins=1296):
                 assignments.append(full)
     for assign in assignments:
         try:
-            vals = [_scalar_from_sympy(e.subs(assign)) for e in entries]
+            vals = [_scalar_from_sympy(e.subs(assign)) for e in exprs]
         except ValueError:
             open_family = True
             continue

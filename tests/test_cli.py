@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sloccanon import exactmat
 from sloccanon.canon import CanonicalForm
 from sloccanon.cli import (canon_from_json, canon_to_json, main, parse_scalar,
                            scalar_from_json, scalar_to_json, state_from_json,
@@ -107,6 +108,30 @@ def test_canon_json_rejects_plain_block_repeating_grid_eigenvalue():
         canon_from_json(obj)
 
 
+@pytest.mark.parametrize("block", [
+    {"lambda": "1", "size": "x", "coeffs": ["0"]},
+    {"lambda": "1", "size": None, "coeffs": ["0"]},
+    {"lambda": "1", "size": 1.5, "coeffs": ["0"]},
+    {"lambda": "1", "size": True, "coeffs": ["0"]},
+    {"lambda": "0", "sizes": ["x", 1], "grid": [[["1"], ["0"]],
+                                               [["0"], ["2"]]]},
+    {"lambda": "0", "sizes": 2, "grid": [[["1"]]]},
+])
+def test_canon_file_non_integer_size_is_a_parse_error(tmp_path, capsys,
+                                                      block):
+    path = write_json(tmp_path / "c.json", {"blocks": [block]})
+    assert main(["symmetry-map", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: canon file block 0:")
+    assert err.count("\n") == 1
+
+
+def test_canon_file_integer_sizes_may_be_strings():
+    assert canon_from_json({"blocks": [
+        {"lambda": "1", "size": " 2", "coeffs": ["0", "1"]}]}) == \
+        canon_from_json(single_block_obj("1", ["0", "1"]))
+
+
 # -- canonicalize -----------------------------------------------------------
 
 def test_canonicalize_full_rank(tmp_path, capsys):
@@ -182,6 +207,20 @@ def test_canonicalize_exit_codes(tmp_path, capsys):
         [["0", "0"], ["1", "0"]]))
     assert main(["canonicalize", noncommuting]) == 5
     capsys.readouterr()
+
+
+def test_canonicalize_wrong_factor_root_is_a_check_failure(
+        tmp_path, capsys, monkeypatch):
+    # the exact cross-check in _field_roots must reject a root that the
+    # factorisation got wrong, with a one-line error instead of a traceback
+    real = exactmat._from_sympy
+    monkeypatch.setattr(exactmat, "_from_sympy", lambda e: real(e) + 1)
+    path = write_json(tmp_path / "s.json", state_obj(
+        [["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]]))
+    assert main(["canonicalize", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not a root" in err
+    assert err.count("\n") == 1
 
 
 # -- equiv ------------------------------------------------------------------

@@ -334,6 +334,15 @@ def test_jordan_checks_raise_domain_errors(monkeypatch):
     monkeypatch.setattr(JordanSpec, "is_normalized", lambda self: False)
     with pytest.raises(CheckFailed):
         jordan_decompose(m)
+    monkeypatch.undo()
+    # a singular s passes m @ s == s @ J (s = 0 does); the rank check
+    # must reject it.  diag(2, 3) builds only its final s from two columns
+    real_from_columns = Matrix.from_columns
+    monkeypatch.setattr(Matrix, "from_columns", staticmethod(
+        lambda cols: Matrix.zero(2, 2) if len(cols) == 2
+        else real_from_columns(cols)))
+    with pytest.raises(CheckFailed):
+        jordan_decompose(M([[2, 0], [0, 3]]))
 
 
 # -- commutant basis --------------------------------------------------------

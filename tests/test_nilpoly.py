@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.fields import field
 
 from sloccanon.errors import NotInvertible, NotReversible, NotToeplitz, OrderMismatch
 from sloccanon.exactmat import Matrix, Scalar, jordan_block
@@ -94,6 +97,95 @@ def test_reversion_roundtrip(g):
     x = TruncPoly(5, (sc(0), sc(1), sc(0), sc(0), sc(0)))
     assert compose(shifted, inv) == x
     assert compose(inv, shifted) == x
+
+
+# -- the same series over a rational-function field ------------------------
+
+# Q(i)(t): a coefficient a + b*t of a field polynomial takes the value
+# a + b*p at the point t = p, which is then a Gaussian rational.  The
+# symmetry tests use these helpers too.
+K, T = field(sympy.symbols("t"), QQ_I)
+
+
+def in_field(s):
+    return K(QQ_I(s.re, s.im))
+
+
+def at_point(c, p):
+    """The field element c at t = p, as a Scalar."""
+    q = QQ_I(p.re, p.im)
+    v = c.numer(q) / c.denom(q)
+    return Scalar(Fraction(int(v.x.numerator), int(v.x.denominator)),
+                  Fraction(int(v.y.numerator), int(v.y.denominator)))
+
+
+def symbolic_polys(order):
+    """Pairs (a, b) of Scalar polys, standing for the field poly a + b*t."""
+    return st.tuples(polys(order), polys(order))
+
+
+def pair_to_field(pair):
+    a, b = pair
+    return TruncPoly(a.order, tuple(in_field(x) + in_field(y) * T
+                                    for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def pair_at(pair, p):
+    a, b = pair
+    return TruncPoly(a.order, tuple(x + y * p
+                                    for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def series_at_point(op, pairs, p):
+    """op over the field, then at t = p; and op over Scalars at p.
+
+    Returns None when the Scalar call divides by zero at p: a factor
+    that the field result cancels may vanish there.
+    """
+    try:
+        expect = op(*(pair_at(pr, p) for pr in pairs))
+    except (NotInvertible, NotReversible):
+        return None
+    got = op(*(pair_to_field(pr) for pr in pairs))
+    return TruncPoly(got.order, tuple(at_point(c, p) for c in got.coeffs)), \
+        expect
+
+
+@pytest.mark.parametrize("op,arity", [
+    (mul, 2), (reciprocal, 1), (compose, 2), (shifted_reversion, 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_series_over_function_field_match_scalars_at_a_point(op, arity, data):
+    order = data.draw(st.integers(1, 4))
+    pairs = [data.draw(symbolic_polys(order)) for _ in range(arity)]
+    p = data.draw(scalars)
+    both = series_at_point(op, pairs, p)
+    assume(both is not None)
+    got, expect = both
+    assert got == expect
+
+
+def test_series_over_function_field_examples():
+    # 1/(1 + t x) = 1 - t x + t^2 x^2, and (x + t x^2) reverts to
+    # x - t x^2 + 2 t^2 x^3
+    one, zero = in_field(sc(1)), in_field(sc(0))
+    assert reciprocal(TruncPoly(3, (one, T, zero))) == \
+        TruncPoly(3, (one, -T, T * T))
+    assert shifted_reversion(TruncPoly(4, (zero, one, T, zero))) == \
+        TruncPoly(4, (zero, one, -T, 2 * T * T))
+    with pytest.raises(NotInvertible):
+        reciprocal(TruncPoly(2, (T - T, one)))
+    with pytest.raises(NotReversible):
+        shifted_reversion(TruncPoly(3, (T, zero, one)))
+
+
+def test_coefficients_are_coerced_or_rejected():
+    assert TruncPoly(2, (1, Fraction(1, 2))) == tp(1, Fraction(1, 2))
+    assert TruncPoly(1, (T,)).coeffs == (T,)
+    with pytest.raises(TypeError):
+        TruncPoly(2, (1.0, 0))
+    with pytest.raises(TypeError):
+        TruncPoly(1, (sympy.Integer(1),))
 
 
 # -- evaluation at a jordan block -------------------------------------------

@@ -1,18 +1,22 @@
 """Residual symmetry group action on canonical forms and orbit decisions."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sloccanon.canon import CanonicalForm, ILOTriple, apply_ilo, \
     commuting_pair_canonical, full_rank_reduce
+from sloccanon.cli import main
 from sloccanon.errors import DegenerateParameter, ZeroScale
 from sloccanon.exactmat import Matrix, Scalar
+from sloccanon.nilpoly import TruncPoly
 from sloccanon.symmetry import (OrbitDecision, SymmetryParams, apply_T_EA,
-                                apply_T_EJ, apply_T_JA, apply_all,
-                                apply_rescale, matrix_of_params, mobius_2nn,
-                                orbit_equivalent)
+                                apply_T_EJ, apply_T_JA, _block_transform,
+                                apply_all, apply_rescale, matrix_of_params,
+                                mobius_2nn, orbit_equivalent)
+from test_nilpoly import K, T, at_point, in_field
 
 
 def sc(re, im=0):
@@ -157,6 +161,49 @@ def test_apply_all_on_derogatory_form():
     assert out == oracle
 
 
+# -- the block map over a rational-function field ---------------------------
+
+scalars = st.builds(Scalar, small_fractions, small_fractions)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), scalars, st.data(),
+       st.lists(st.tuples(scalars, scalars), min_size=5, max_size=5),
+       scalars)
+def test_block_transform_over_function_field(n, lam, data, entries, p):
+    # trow entries a + b*t: the witness search's symbolic T row, here in
+    # one parameter; at t = p it must give the Scalar map at that row
+    coeffs = data.draw(st.lists(scalars, min_size=n, max_size=n))
+    u2, u3, v2, v3, w3 = entries
+    at_p = [a + b * p for a, b in entries]
+    try:
+        lam2, f2 = _block_transform(
+            lam, TruncPoly(n, tuple(coeffs)),
+            ((sc(1), at_p[0], at_p[1]), (at_p[2], at_p[3]), at_p[4]))
+    except DegenerateParameter:
+        assume(False)
+    sym = [in_field(a) + in_field(b) * T for a, b in entries]
+    slam2, sf2 = _block_transform(
+        in_field(lam), TruncPoly(n, tuple(in_field(c) for c in coeffs)),
+        ((K.one, sym[0], sym[1]), (sym[2], sym[3]), sym[4]))
+    assert at_point(slam2, p) == lam2
+    assert tuple(at_point(c, p) for c in sf2.coeffs) == f2.coeffs
+
+
+def test_block_transform_over_function_field_degenerates():
+    # on the block (1; 2, 3): t12 = t, t13 = -(1 + t)/2 make the first
+    # slot 1 + t12*lam + t13*a0 vanish for every t, and t22 = t23 = 0
+    # leave no Jordan part to revert
+    f = TruncPoly(2, (in_field(sc(2)), in_field(sc(3))))
+    with pytest.raises(DegenerateParameter):
+        _block_transform(in_field(sc(1)), f,
+                         ((K.one, T, -(K.one + T) / 2), (K.one, K.zero),
+                          K.one))
+    with pytest.raises(DegenerateParameter):
+        _block_transform(in_field(sc(1)), f,
+                         ((K.one, T, K.zero), (K.zero, K.zero), K.one))
+
+
 # -- the 2 x N x N eigenvalue law -------------------------------------------
 
 def test_mobius_golden():
@@ -243,6 +290,60 @@ def test_orbit_multi_block_inequivalence():
     ])
     dec = orbit_equivalent(cf1, cf2)
     assert dec.status == "inequivalent"
+
+
+# The witness search's solve path on a (3,1) and a (2,2) pair, each the
+# image of its first form under one group element: the exact bytes of
+# `equiv --json`, witness and permutation included.
+EQUIV_GOLDEN = [
+    ({"blocks": [{"lambda": "1", "size": 3, "coeffs": ["2", "-1", "3"]},
+                 {"lambda": "2", "size": 1, "coeffs": ["-1"]}]},
+     {"blocks": [{"lambda": "7/6", "size": 1, "coeffs": ["-1/6"]},
+                 {"lambda": "34/15", "size": 3,
+                  "coeffs": ["8/15", "11/13", "-10125/8788"]}]}),
+    ({"blocks": [{"lambda": "-1", "size": 2, "coeffs": ["1", "2"]},
+                 {"lambda": "3", "size": 2,
+                  "coeffs": [{"re": "2", "im": "1"}, "-1"]}]},
+     {"blocks": [{"lambda": {"re": "70/33", "im": "8/33"}, "size": 2,
+                  "coeffs": [{"re": "8/33", "im": "4/33"},
+                             {"re": "443/661", "im": "-27/661"}]},
+                 {"lambda": "10/3", "size": 2, "coeffs": ["-4/3", "5"]}]}),
+]
+EQUIV_GOLDEN_OUT = """{
+  "decision": "equivalent",
+  "witness": {
+    "z1": "1/2",
+    "z2": "-1",
+    "z3": "2",
+    "d2": "3",
+    "d3": "2/3"
+  },
+  "permutation": [
+    1,
+    0
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("first,second", EQUIV_GOLDEN, ids=["3,1", "2,2"])
+def test_equiv_golden_bytes(tmp_path, capsys, first, second):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(first))
+    b.write_text(json.dumps(second))
+    assert main(["equiv", str(a), str(b), "--json"]) == 0
+    assert capsys.readouterr().out == EQUIV_GOLDEN_OUT
+
+
+def test_orbit_zero_constant_against_nonzero_is_inequivalent():
+    # a0 = 0 is kept by the group (a0' = t33 a0 / den), so these forms are
+    # inequivalent; the constant equations then make the first slot of
+    # the size-3 block vanish on the whole parameter family
+    cf1 = CanonicalForm.from_blocks([(sc(1), 3, (sc(0), sc(1), sc(2))),
+                                     (sc(2), 2, (sc(3), sc(1)))])
+    cf2 = CanonicalForm.from_blocks([(sc(5), 3, (sc(1), sc(1), sc(4))),
+                                     (sc(7), 2, (sc(2), sc(3)))])
+    assert orbit_equivalent(cf1, cf2).status == "inequivalent"
 
 
 def test_orbit_derogatory_is_conservative():
