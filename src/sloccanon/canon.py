@@ -19,12 +19,8 @@ from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
 from .exactmat import (Matrix, Scalar, JordanSpec, ZERO, ONE, _coerce,
                        combination_ranks, eigenvalues_in_field,
                        jordan_matrix, jordan_decompose)
-from .nilpoly import TruncPoly, poly_matrix_to_commutant
-
-GRID_VALUES = (0, 1, -1, 2, -2)
-RANDOM_TUPLES = 64
-RANDOM_BOUND = 10 ** 6
-
+from .nilpoly import (TruncPoly, check_commutant_grid,
+                      poly_matrix_to_commutant)
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -74,7 +70,8 @@ class AClassRun:
     """Commutant data for one equal-eigenvalue run of Jordan blocks.
 
     grid[i][j] is the polynomial class of the (i, j) intertwining block;
-    all entries have order sizes[0] and obey the band support rule.
+    all entries have order sizes[0] and obey the band support rule
+    (checked by check_commutant_grid).
     """
 
     lam: Scalar
@@ -85,6 +82,7 @@ class AClassRun:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "grid",
                            tuple(tuple(row) for row in self.grid))
+        check_commutant_grid(self.grid, self.sizes)
 
 
 @dataclass(frozen=True)
@@ -206,28 +204,34 @@ def apply_ilo(psi: TensorState, ops: ILOTriple) -> TensorState:
     return TensorState(psi.L, psi.N, tuple(out))
 
 
-def _coefficient_sweep(L: int, seed: int):
-    """Deterministic small-integer tuples first, then seeded big ones."""
+def _coefficient_sweep(L: int, size: int):
+    """(1, 0, ..., 0), then the grid S^L in product order.
+
+    S is the first max(5, size) of 0, 1, -1, 2, -2, ...; the zero tuple
+    and a repeat of the first are skipped.  The grid certifies a rank:
+    each (r+1)-minor of base + sum t_j M_j has degree <= r + 1 in each
+    t_j, so if it vanishes on S^L with |S| >= r + 2 it vanishes
+    identically (Alon's Combinatorial Nullstellensatz).
+    """
     first = (1,) + (0,) * (L - 1)
     yield first
-    for t in itertools.product(GRID_VALUES, repeat=L):
+    values = [(k + 1) // 2 * (1 if k % 2 else -1)
+              for k in range(max(5, size))]
+    for t in itertools.product(values, repeat=L):
         if any(t) and t != first:
             yield t
-    rng = random.Random(seed)
-    for _ in range(RANDOM_TUPLES):
-        yield tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-                    for _ in range(L))
 
 
-def max_rank_combination(psi: TensorState, seed: int = 0):
-    """Coefficients t with rank(sum t_j Gamma_j) maximal.
+def max_rank_combination(psi: TensorState):
+    """Coefficients t with rank(sum t_j Gamma_j) maximal, certified.
 
-    The max-rank locus is Zariski-open, so the random phase attains it
-    with probability 1; r == N is certified, anything less is best-found.
+    A rank r < N is the generic rank: the grid has size N + 1 >= r + 2
+    (see _coefficient_sweep), and the zero tuple it skips has rank 0.
+    The first tuple to reach the maximum is kept.
     """
     best_t, best_r = None, -1
     for t, r in combination_ranks(psi.gammas,
-                                  _coefficient_sweep(psi.L, seed)):
+                                  _coefficient_sweep(psi.L, psi.N + 1)):
         if r > best_r:
             best_t, best_r = t, r
             if r == psi.N:
@@ -247,17 +251,15 @@ def _completion_matrix(t):
     return Matrix.from_rows(rows)
 
 
-def full_rank_reduce(psi: TensorState, seed: int = 0, *,
-                     sweep=None) -> TensorState:
+def full_rank_reduce(psi: TensorState, *, sweep=None) -> TensorState:
     """Bring the first slot to the exact identity.
 
     T mixes a maximum-rank combination into slot one, then P is its
     inverse and Q stays the identity; the remaining slots are multiplied
     by that inverse on the left.  sweep is the (t, r) that
-    max_rank_combination(psi, seed) returns, computed here when not
-    given.
+    max_rank_combination(psi) returns, computed here when not given.
     """
-    t, r = sweep or max_rank_combination(psi, seed)
+    t, r = sweep or max_rank_combination(psi)
     if r < psi.N:
         raise NotFullRank(f"maximum attained rank {r} < {psi.N}")
     tmat = _completion_matrix(t)
@@ -321,68 +323,6 @@ def commuting_pair_canonical(a2: Matrix, a3: Matrix, hints=None):
         raise PatternViolation(
             "conjugated third slot does not match the commutant pattern")
     return cf, s
-
-
-# ---------------------------------------------------------------------------
-# Polynomial helpers for spectral projectors
-# ---------------------------------------------------------------------------
-
-def _ptrim(p):
-    while len(p) > 1 and p[-1].is_zero():
-        p = p[:-1]
-    return p
-
-
-def _pmul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _ptrim(out)
-
-
-def _pdivmod(p, q):
-    p, q = list(p), _ptrim(list(q))
-    lead = q[-1].inv()
-    quot = [ZERO] * max(1, len(p) - len(q) + 1)
-    while len(_ptrim(p)) >= len(q) and not all(c.is_zero() for c in p):
-        p = _ptrim(p)
-        if len(p) < len(q):
-            break
-        k = len(p) - len(q)
-        f = p[-1] * lead
-        quot[k] = quot[k] + f
-        for i, c in enumerate(q):
-            p[k + i] = p[k + i] - f * c
-    return _ptrim(quot), _ptrim(p)
-
-
-def _pxgcd(p, q):
-    """(g, a, b) with a*p + b*q = g, g monic."""
-    r0, r1 = _ptrim(list(p)), _ptrim(list(q))
-    a0, a1 = [ONE], [ZERO]
-    b0, b1 = [ZERO], [ONE]
-    while not all(c.is_zero() for c in r1):
-        quot, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        a0, a1 = a1, _ptrim([x - y for x, y in
-                             zip(a0 + [ZERO] * len(_pmul(quot, a1)),
-                                 _pmul(quot, a1) + [ZERO] * len(a0))])
-        b0, b1 = b1, _ptrim([x - y for x, y in
-                             zip(b0 + [ZERO] * len(_pmul(quot, b1)),
-                                 _pmul(quot, b1) + [ZERO] * len(b0))])
-    lead = r0[-1].inv()
-    return ([lead * c for c in r0], [lead * c for c in a0],
-            [lead * c for c in b0])
-
-
-def _peval_matrix(p, m: Matrix) -> Matrix:
-    acc = Matrix.zero(m.rows, m.cols)
-    for c in reversed(p):
-        acc = acc @ m + Matrix.identity(m.rows).scale(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +396,7 @@ def _column_space(m: Matrix):
     return [m.column(j) for j in pivots]
 
 
-def _split_piece(piece: _Piece, seed: int):
+def _split_piece(piece: _Piece, step: int):
     """Try to split off a proper joint summand.
 
     Returns (piece_a, piece_b), None for indecomposable-evidence, or
@@ -465,7 +405,7 @@ def _split_piece(piece: _Piece, seed: int):
     basis = _endomorphism_basis(piece.mats)
     if len(basis) <= 1:
         return None
-    rng = random.Random(seed)
+    rng = random.Random(step)
     candidates = list(basis)
     for _ in range(8):
         coeffs = [Scalar.of(rng.randint(-9, 9), rng.randint(-9, 9))
@@ -488,10 +428,9 @@ def _split_piece(piece: _Piece, seed: int):
                 continue
             if len(set(e.sort_key() for e in eigs)) < 2:
                 continue
-            proj = _spectral_projector_poly(eigs, eigs[0])
-            p_r = _peval_matrix(proj, rmat)
-            p_c = _peval_matrix(proj, cmat)
-            split = _apply_projector(piece, p_r, p_c)
+            lam = eigs[0]
+            split = _apply_projector(piece, _fitting_projector(rmat, lam),
+                                     _fitting_projector(cmat, lam))
             if split is not None:
                 return split
     if unknown:
@@ -500,17 +439,24 @@ def _split_piece(piece: _Piece, seed: int):
     return None
 
 
-def _spectral_projector_poly(eigs, lam0):
-    """Polynomial h with h == 1 on lam0's generalized eigenspace, 0 off."""
-    f1, f2 = [ONE], [ONE]
-    for e in eigs:
-        factor = [-e, ONE]
-        if e == lam0:
-            f1 = _pmul(f1, factor)
-        else:
-            f2 = _pmul(f2, factor)
-    _, a, b = _pxgcd(f1, f2)
-    return _pmul(b, f2)
+def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:
+    """Projector onto lam's generalized eigenspace of m along the others.
+
+    With K = (m - lam)^p for any p >= n, the space is ker K + im K
+    (Fitting's lemma), both m-invariant; in the basis U = [ker K | im K]
+    the projector is diag(I, 0).  It is zero when lam is not an
+    eigenvalue of m.
+    """
+    n = m.rows
+    k, power = m - Matrix.identity(n).scale(lam), 1
+    while power < n:
+        k, power = k @ k, 2 * power
+    kernel = k.nullspace()
+    if not kernel:
+        return Matrix.zero(n, n)
+    u = Matrix.from_columns(kernel + _column_space(k))
+    d = Matrix.diagonal([1] * len(kernel) + [0] * (n - len(kernel)))
+    return u @ d @ u.inverse()
 
 
 def _apply_projector(piece: _Piece, p_r: Matrix, p_c: Matrix):
@@ -544,7 +490,7 @@ def _apply_projector(piece: _Piece, p_r: Matrix, p_c: Matrix):
     return _Piece(mats_a), _Piece(mats_b)
 
 
-def _decompose_fully(mats, seed: int):
+def _decompose_fully(mats):
     pending = [_Piece(mats)]
     done = []
     step = 0
@@ -552,7 +498,7 @@ def _decompose_fully(mats, seed: int):
         piece = pending.pop(0)
         if piece.r_dim == 0 and piece.c_dim == 0:
             continue
-        result = _split_piece(piece, seed + step)
+        result = _split_piece(piece, step)
         step += 1
         if result is None:
             done.append(piece)
@@ -561,8 +507,7 @@ def _decompose_fully(mats, seed: int):
     return done
 
 
-def nonfull_rank_split(psi: TensorState, seed: int = 0, *,
-                       sweep=None) -> PartitionedForm:
+def nonfull_rank_split(psi: TensorState, *, sweep=None) -> PartitionedForm:
     """Split a rank-deficient state per the stabilizer direct-sum form.
 
     The first slot is reduced to diag(I_{N-i}, 0); joint summands are
@@ -571,7 +516,7 @@ def nonfull_rank_split(psi: TensorState, seed: int = 0, *,
     part, everything else the remainder.  sweep is as for
     full_rank_reduce.
     """
-    t, r = sweep or max_rank_combination(psi, seed)
+    t, r = sweep or max_rank_combination(psi)
     deficiency = psi.N - r
     if deficiency == 0:
         raise NotFullRank("state has full rank; use the full-rank pipeline")
@@ -580,7 +525,7 @@ def nonfull_rank_split(psi: TensorState, seed: int = 0, *,
                                      Matrix.identity(psi.N)))
     p, q, _ = rank_normal_form(mixed.gammas[0])
     mats = [p @ g @ q for g in mixed.gammas]
-    pieces = _decompose_fully(mats, seed)
+    pieces = _decompose_fully(mats)
     gamma_pieces, beta_pieces = [], []
     for piece in pieces:
         lam_part = piece.mats[0]
@@ -612,16 +557,18 @@ def nonfull_rank_split(psi: TensorState, seed: int = 0, *,
                            tuple(beta_part), lambda_prime)
 
 
-def beta_canonical_check(pf: PartitionedForm, seed: int = 0) -> bool:
-    """Rank condition for the remainder's canonical form.
+def beta_canonical_check(pf: PartitionedForm) -> bool:
+    """Rank condition for the remainder's canonical form, certified.
 
     True iff the maximum rank of lambda_prime + sum alpha_j beta_j over
-    the sampled coefficient tuples equals m - i.
+    all coefficient tuples equals m - i, which is the rank of
+    lambda_prime (alpha = 0, the tuple the sweep skips).  A grid of size
+    m - i + 2 decides it (see _coefficient_sweep).
     """
     target = pf.m - pf.i
     best = -1
     for _, r in combination_ranks(
-            pf.beta_part, _coefficient_sweep(len(pf.beta_part), seed),
+            pf.beta_part, _coefficient_sweep(len(pf.beta_part), target + 2),
             base=pf.lambda_prime):
         best = max(best, r)
         if best > target:

@@ -6,8 +6,15 @@ canonical (lowest terms, fixed key order, newline-terminated) so that
 round trips are byte-identical.
 
 Exit codes: 0 success/equivalent, 1 fail/inequivalent, 2
-undecided/degenerate, 3 parse error, 4 eigenvalue outside the Gaussian
-rationals, 5 non-commuting reduced pair.
+undecided/degenerate, 3 parse or usage error, 4 eigenvalue outside the
+Gaussian rationals, 5 non-commuting reduced pair.  A negative parameter
+is written with "=", as in ``--z2=-1/2``; ``--z2 -1/2`` reads as a
+missing value and exits 3.
+
+canonicalize is deterministic.  On a rank-deficient state its maximal
+rank and the remainder's rank condition are certified, not sampled:
+both come from grid sweeps that no other coefficient tuple can beat
+(see canon._coefficient_sweep).
 """
 
 from __future__ import annotations
@@ -74,6 +81,12 @@ def _integer(v, where: str) -> int:
     raise ParseError(f"{where}: expected an integer, got {v!r}")
 
 
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{where}: expected a list, got {type(v).__name__}")
+    return v
+
+
 def scalar_to_json(s: Scalar):
     if s.im == 0:
         return str(s.re)
@@ -105,10 +118,10 @@ def state_from_json(obj) -> TensorState:
     if not isinstance(obj, dict):
         raise ParseError("state file: top level must be an object")
     try:
-        ell = int(obj["L"])
-        n = int(obj["N"])
+        ell = _integer(obj["L"], "state file: L")
+        n = _integer(obj["N"], "state file: N")
         grids = obj["gammas"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"state file: missing or bad field ({exc})")
     if not isinstance(grids, list) or len(grids) != ell:
         raise ParseError(f"state file: expected {ell} slot matrices")
@@ -168,8 +181,9 @@ def canon_from_json(obj) -> CanonicalForm:
             raise ParseError(f"{where}: missing lambda")
         lam = scalar_from_json(blk["lambda"], where)
         if "coeffs" in blk:
-            size = _integer(blk.get("size", len(blk["coeffs"])), where)
-            coeffs = [scalar_from_json(c, where) for c in blk["coeffs"]]
+            coeffs = _list(blk["coeffs"], where)
+            size = _integer(blk.get("size", len(coeffs)), where)
+            coeffs = [scalar_from_json(c, where) for c in coeffs]
             if len(coeffs) != size or size < 1:
                 raise ParseError(f"{where}: need exactly {size} coefficients")
             simple_blocks.append((lam, size, tuple(coeffs)))
@@ -183,10 +197,10 @@ def canon_from_json(obj) -> CanonicalForm:
             n1 = sizes[0]
             try:
                 grid = tuple(
-                    tuple(TruncPoly(n1, tuple(
-                        scalar_from_json(c, where) for c in entry))
-                        for entry in row)
-                    for row in blk["grid"])
+                    tuple(TruncPoly(n1, tuple(scalar_from_json(c, where)
+                                              for c in _list(entry, where)))
+                          for entry in _list(row, where))
+                    for row in _list(blk["grid"], where))
                 runs.append(AClassRun(lam, sizes, grid))
             except SloccError as exc:
                 raise ParseError(f"{where}: {exc}")
@@ -227,8 +241,11 @@ def _dump(obj) -> str:
 
 def _emit(text: str, out_path=None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"{out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -248,9 +265,9 @@ def cmd_canonicalize(args) -> int:
     if psi.L not in (2, 3):
         raise ParseError("canonicalize supports L = 2 or 3 slots")
     hints = _parse_hints(args.hints)
-    t, r = max_rank_combination(psi, seed=args.seed)
+    t, r = max_rank_combination(psi)
     if r < psi.N:
-        pf = nonfull_rank_split(psi, seed=args.seed, sweep=(t, r))
+        pf = nonfull_rank_split(psi, sweep=(t, r))
         payload = {
             "kind": "partitioned",
             "max_rank": {"coefficients": [scalar_to_json(c) for c in t],
@@ -267,7 +284,7 @@ def cmd_canonicalize(args) -> int:
                                 for j in range(pf.m)] for i in range(pf.m)]
                               for b in pf.beta_part],
             },
-            "beta_rank_condition": beta_canonical_check(pf, seed=args.seed),
+            "beta_rank_condition": beta_canonical_check(pf),
         }
         if args.json:
             _emit(_dump(payload), args.output)
@@ -278,7 +295,7 @@ def cmd_canonicalize(args) -> int:
                   f"remainder rank condition (= m - i): "
                   f"{payload['beta_rank_condition']}\n", args.output)
         return EXIT_OK
-    reduced = full_rank_reduce(psi, seed=args.seed, sweep=(t, r))
+    reduced = full_rank_reduce(psi, sweep=(t, r))
     g3 = reduced.gammas[2] if psi.L == 3 else Matrix.zero(psi.N, psi.N)
     cf, _ = commuting_pair_canonical(reduced.gammas[1], g3, hints=hints)
     payload = {
@@ -367,8 +384,18 @@ def cmd_selftest(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 3 like bad input files.
+
+    argparse's own exit code for them, 2, means "undecided" here.
+    """
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sloccanon",
         description="Exact canonical forms of L x N x N tensors under "
                     "local operations.  Inequivalent verdicts mean "
@@ -377,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonicalize", help="canonicalize a state file")
     p.add_argument("state")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hints", default=None,
                    help="comma-separated eigenvalue candidates")
     p.add_argument("--json", action="store_true")
@@ -415,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

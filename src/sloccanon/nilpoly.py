@@ -213,32 +213,48 @@ def grid_entry_ok(f: TruncPoly, ni: int, nj: int) -> bool:
                if k not in allowed)
 
 
-def poly_matrix_to_commutant(entries, sizes) -> Matrix:
-    """Assemble the commutant matrix from a grid of polynomials.
+def check_commutant_grid(entries, sizes):
+    """Raise unless entries is a commutant grid over the block sizes.
 
-    sizes must be non-increasing; every grid entry has order sizes[0].
-    Entry (i, j) is realized as f(J_{n1}(0)) keeping the first n_i rows
-    and n_j columns, which forces the Toeplitz band pattern and, for
-    n_i < n_j, a minimum degree of n_j - n_i.
+    sizes must be positive and non-increasing, the grid square over the
+    blocks, every entry of order sizes[0] and within its band support.
     """
     sizes = [int(s) for s in sizes]
+    if not sizes or sizes[-1] < 1:
+        raise PatternViolation("block sizes must be positive")
     if sorted(sizes, reverse=True) != sizes:
         raise PatternViolation("block sizes must be non-increasing")
-    n1 = sizes[0]
     l = len(sizes)
     if len(entries) != l or any(len(row) != l for row in entries):
         raise PatternViolation("grid is not square over the blocks")
+    for i in range(l):
+        for j in range(l):
+            f = entries[i][j]
+            if f.order != sizes[0]:
+                raise OrderMismatch("grid entry order must equal max size")
+            if not grid_entry_ok(f, sizes[i], sizes[j]):
+                raise PatternViolation(
+                    f"grid entry ({i},{j}) violates the band support rule")
+
+
+def poly_matrix_to_commutant(entries, sizes) -> Matrix:
+    """Assemble the commutant matrix from a grid of polynomials.
+
+    The grid must pass check_commutant_grid.  Entry (i, j) is realized as
+    f(J_{n1}(0)) keeping the first n_i rows and n_j columns, which forces
+    the Toeplitz band pattern and, for n_i < n_j, a minimum degree of
+    n_j - n_i.
+    """
+    check_commutant_grid(entries, sizes)
+    sizes = [int(s) for s in sizes]
+    n1 = sizes[0]
+    l = len(sizes)
     dim = sum(sizes)
     offsets = [sum(sizes[:k]) for k in range(l)]
     rows = [[ZERO] * dim for _ in range(dim)]
     for i in range(l):
         for j in range(l):
             f = entries[i][j]
-            if f.order != n1:
-                raise OrderMismatch("grid entry order must equal max size")
-            if not grid_entry_ok(f, sizes[i], sizes[j]):
-                raise PatternViolation(
-                    f"grid entry ({i},{j}) violates the band support rule")
             for r in range(sizes[i]):
                 for c in range(sizes[j]):
                     k = c - r

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.fields import field
+from sympy.polys.matrices import DomainMatrix
 
 from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
-                             TensorState, _coefficient_sweep, apply_ilo,
+                             TensorState, _coefficient_sweep,
+                             _fitting_projector, apply_ilo,
                              beta_canonical_check, commuting_pair_canonical,
                              eigen_shift, full_rank_reduce,
                              max_rank_combination, nonfull_rank_split,
@@ -88,10 +92,22 @@ def test_max_rank_deficient_case():
     assert r == 1
 
 
-def _scalar_max_rank(psi, seed):
+def test_max_rank_certified_beyond_five_values():
+    # entry k of t1*G1 + t2*G2 is t1*v_k - t2*u_k, zero on the direction
+    # (u_k, v_k): one entry per direction of {0, +-1, +-2}^2, plus a zero,
+    # so every tuple of that grid has rank <= 7 but the generic rank is 8
+    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1),
+            (2, -1)]
+    psi = state(Matrix.diagonal([v for _, v in dirs] + [0]),
+                Matrix.diagonal([-u for u, _ in dirs] + [0]))
+    assert max_rank_combination(psi) == ((sc(1), sc(3)), 8)
+    assert _generic_rank(psi.gammas) == 8
+
+
+def _scalar_max_rank(psi):
     """The sweep evaluated on Scalar matrices, tuple by tuple."""
     best_t, best_r = None, -1
-    for t in _coefficient_sweep(psi.L, seed):
+    for t in _coefficient_sweep(psi.L, psi.N + 1):
         acc = Matrix.zero(psi.N, psi.N)
         for c, g in zip(t, psi.gammas):
             acc = acc + g.scale(c)
@@ -103,9 +119,9 @@ def _scalar_max_rank(psi, seed):
     return tuple(sc(c) for c in best_t), best_r
 
 
-def _scalar_beta_check(pf, seed):
+def _scalar_beta_check(pf):
     target, best = pf.m - pf.i, -1
-    for alphas in _coefficient_sweep(len(pf.beta_part), seed):
+    for alphas in _coefficient_sweep(len(pf.beta_part), target + 2):
         acc = pf.lambda_prime
         for a, b in zip(alphas, pf.beta_part):
             acc = acc + b.scale(a)
@@ -113,6 +129,22 @@ def _scalar_beta_check(pf, seed):
         if best > target:
             return False
     return best == target
+
+
+def _generic_rank(mats, base=None):
+    """Rank of base + sum_j t_j mats[j] over the field Q(i)(t_1, ...)."""
+    k, *ts = field(",".join(f"t{j}" for j in range(len(mats))), QQ_I)
+
+    def lift(s):
+        return k(QQ_I(s.re, s.im))
+    n = mats[0].rows
+    rows = [[lift(base[a, b]) if base is not None else k.zero
+             for b in range(n)] for a in range(n)]
+    for t, m in zip(ts, mats):
+        for a in range(n):
+            for b in range(n):
+                rows[a][b] += t * lift(m[a, b])
+    return DomainMatrix(rows, (n, n), k.to_domain()).rank()
 
 
 sweep_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -149,24 +181,28 @@ def sweep_matrices(draw, count, n, zero_last=0):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 3).flatmap(
     lambda L: st.tuples(st.just(L), st.integers(1, 4))).flatmap(
-    lambda ln: sweep_matrices(*ln)), st.integers(0, 3))
-def test_max_rank_matches_scalar_sweep(gammas, seed):
+    lambda ln: sweep_matrices(*ln)))
+def test_max_rank_matches_scalar_sweep(gammas):
     assume(not all(g.is_zero() for g in gammas))
     psi = state(*gammas)
-    assert max_rank_combination(psi, seed) == _scalar_max_rank(psi, seed)
+    t, r = max_rank_combination(psi)
+    assert (t, r) == _scalar_max_rank(psi)
+    assert r == _generic_rank(gammas)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda m: st.integers(1, m - 1).flatmap(
     lambda i: st.tuples(st.just(m), st.just(i), st.integers(1, 2).flatmap(
-        lambda k: sweep_matrices(k, m, zero_last=i))))), st.integers(0, 3))
-def test_beta_check_matches_scalar_sweep(args, seed):
+        lambda k: sweep_matrices(k, m, zero_last=i))))))
+def test_beta_check_matches_scalar_sweep(args):
     m, i, betas = args
     assume(not all(b.is_zero() for b in betas))
     lam = Matrix.diagonal([1] * (m - i) + [0] * i)
     pf = PartitionedForm(0, m, i, (Matrix.identity(0),) * len(betas),
                          tuple(betas), lam)
-    assert beta_canonical_check(pf, seed) == _scalar_beta_check(pf, seed)
+    verdict = beta_canonical_check(pf)
+    assert verdict == _scalar_beta_check(pf)
+    assert verdict == (_generic_rank(betas, lam) == m - i)
 
 
 # -- full rank reduce and eigen shift ---------------------------------------
@@ -324,6 +360,28 @@ def test_rank_normal_form_check_raises_domain_error(monkeypatch):
 
 # -- non-full-rank split ----------------------------------------------------
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+                min_size=1, max_size=3),
+       st.lists(small_ints, min_size=36, max_size=36))
+def test_fitting_projector_on_conjugated_jordan_matrices(blocks, svals):
+    spec = JordanSpec(tuple((sc(lam), size) for lam, size in blocks))
+    n = spec.dim
+    s = Matrix(n, n, [sc(v) for v in svals[:n * n]])
+    assume(s.rank() == n)
+    m = s @ jordan_matrix(spec) @ s.inverse()
+    for lam in {lam for lam, _ in blocks} | {3}:
+        p = _fitting_projector(m, sc(lam))
+        assert p @ p == p
+        assert p @ m == m @ p
+        shifted = m - Matrix.identity(n).scale(sc(lam))
+        power = Matrix.identity(n)
+        for _ in range(n):
+            power = power @ shifted
+        assert (power @ p).is_zero()
+        assert p.rank() == sum(size for mu, size in blocks if mu == lam)
+
+
 def test_split_already_partitioned():
     lam = Matrix.diagonal([1, 1, 0])
     g2 = Matrix.block_diag([M([[5]]), M([[0, 1], [0, 0]])])
@@ -369,3 +427,12 @@ def test_beta_check_true_case():
 def test_beta_check_false_case():
     assert beta_canonical_check(_partitioned(Matrix.diagonal([0, 1]))) \
         is False
+
+
+def test_beta_check_certified_beyond_five_values():
+    # det(lambda' + a*beta) = a(a^2 - 1)(a^2 - 4): rank m - i = 4 on every
+    # a in {0, +-1, +-2}, but rank 5 at a = 3, so the condition fails
+    beta = Matrix.diagonal([-1, 1, Fraction(-1, 2), Fraction(1, 2), 1])
+    pf = PartitionedForm(0, 5, 1, (Matrix.identity(0),), (beta,),
+                         Matrix.diagonal([1, 1, 1, 1, 0]))
+    assert beta_canonical_check(pf) is False

@@ -126,6 +126,35 @@ def test_canon_file_non_integer_size_is_a_parse_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("block", [
+    # one grid row for two blocks
+    {"lambda": "0", "sizes": [2, 1], "grid": [[["1", "2"], ["0", "3"]]]},
+    # a row one entry short
+    {"lambda": "0", "sizes": [2, 1],
+     "grid": [[["1", "2"], ["0", "0"]], [["0", "4"]]]},
+    # increasing sizes
+    {"lambda": "0", "sizes": [1, 2],
+     "grid": [[["1"], ["0"]], [["0"], ["2"]]]},
+    # a size of zero, and a negative one
+    {"lambda": "0", "sizes": [2, 0],
+     "grid": [[["1", "2"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+    {"lambda": "0", "sizes": [2, -1],
+     "grid": [[["1", "2"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+    # entry (0, 1) with a coefficient outside its band support
+    {"lambda": "0", "sizes": [2, 1],
+     "grid": [[["1", "2"], ["0", "3"]], [["0", "4"], ["5", "0"]]]},
+])
+@pytest.mark.parametrize("command", ["equiv", "symmetry-map"])
+def test_canon_file_malformed_grid_is_a_parse_error(tmp_path, capsys, block,
+                                                    command):
+    path = write_json(tmp_path / "c.json", {"blocks": [block]})
+    files = [path, path] if command == "equiv" else [path]
+    assert main([command, *files]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: canon file block 0:")
+    assert err.count("\n") == 1
+
+
 def test_canon_file_integer_sizes_may_be_strings():
     assert canon_from_json({"blocks": [
         {"lambda": "1", "size": " 2", "coeffs": ["0", "1"]}]}) == \
@@ -166,6 +195,58 @@ def test_canonicalize_partitioned(tmp_path, capsys):
     assert payload["partition"]["m"] == 2
     assert payload["partition"]["i"] == 1
     assert payload["beta_rank_condition"] is True
+
+
+# rank-deficient states with a nontrivial split, scrambled by (T, P, Q),
+# and their canonicalize --json output recorded before the seeded sweep
+# phase and the polynomial spectral projectors were replaced
+DEFICIENT_GOLDEN = [
+    # (I, J_2(1), A) plus the remainder [[t1, t2], [0, 0]]
+    ({"L": 3, "N": 4, "gammas": [
+        [["9", "6", "0", "-3"], ["3", "5", "2", "0"], ["0", "1", "1", "0"],
+         ["6", "3", "0", "-3"]],
+        [["3", "2", "0", "-1"], ["1", "1", "2", "2"], ["0", "0", "1", "1"],
+         ["2", "1", "0", "-1"]],
+        [["16", "11", "0", "-5"], ["5", "7", "2", "0"], ["0", "1", "1", "0"],
+         ["11", "6", "0", "-5"]]]},
+     {"kind": "partitioned",
+      "max_rank": {"coefficients": ["1", "0", "0"], "rank": 3},
+      "partition": {
+          "n": 2, "m": 2, "i": 1,
+          "lambda_prime": [["1", "0"], ["0", "0"]],
+          "gamma_part": [[["1/3", "0"], ["0", "1/3"]],
+                         [["2", "1/3"], ["-1/3", "4/3"]]],
+          "beta_part": [[["0", "1"], ["0", "0"]],
+                        [["1", "0"], ["0", "0"]]]},
+      "beta_rank_condition": True}),
+    # the pencil J_2(3) + L_1 + L_1^T (a 1 x 2 and a 2 x 1 Kronecker block)
+    ({"L": 2, "N": 5, "gammas": [
+        [["5", "6", "3", "3", "1"], ["1", "5", "5", "0", "1"],
+         ["7", "6", "1", "0", "2"], ["3", "0", "0", "0", "3"],
+         ["2", "5", "5", "0", "2"]],
+        [["4", "5", "2", "2", "1"], ["1", "4", "4", "0", "1"],
+         ["5", "5", "1", "0", "1"], ["2", "0", "0", "0", "2"],
+         ["2", "4", "4", "0", "2"]]]},
+     {"kind": "partitioned",
+      "max_rank": {"coefficients": ["1", "0"], "rank": 4},
+      "partition": {
+          "n": 2, "m": 3, "i": 1,
+          "lambda_prime": [["1", "0", "0"], ["0", "1", "0"],
+                           ["0", "0", "0"]],
+          "gamma_part": [[["21/25", "1/25"], ["-1/25", "19/25"]]],
+          "beta_part": [[["2/3", "0", "0"], ["0", "2/3", "8/9"],
+                         ["-1/3", "0", "0"]]]},
+      "beta_rank_condition": True}),
+]
+
+
+@pytest.mark.parametrize("state,expected", DEFICIENT_GOLDEN,
+                         ids=["L3", "L2"])
+def test_canonicalize_rank_deficient_golden_bytes(tmp_path, capsys, state,
+                                                  expected):
+    path = write_json(tmp_path / "s.json", state)
+    assert main(["canonicalize", path, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_canonicalize_roundtrip_is_byte_identical(tmp_path, capsys):
@@ -221,6 +302,64 @@ def test_canonicalize_wrong_factor_root_is_a_check_failure(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "is not a root" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("L", 2.5), ("N", 2.9), ("N", "x"), ("L", True), ("N", None)])
+def test_state_file_non_integer_dimension_is_a_parse_error(
+        tmp_path, capsys, field, value):
+    obj = state_obj([["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]])
+    obj[field] = value
+    path = write_json(tmp_path / "s.json", obj)
+    assert main(["canonicalize", path]) == 3
+    err = capsys.readouterr().err
+    assert err == f"parse error: state file: {field}: expected an " \
+                  f"integer, got {value!r}\n"
+
+
+def test_canonicalize_unwritable_output_is_a_parse_error(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", state_obj(
+        [["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]]))
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(["canonicalize", path, "-o", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {out}: ") and err.count("\n") == 1
+
+
+# -- usage errors -----------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["canonicalize", "{state}", "--seed", "1"],
+    ["symmetry-map", "{canon}", "--z2", "-1/2"],
+    ["symmetry-map", "{canon}", "--bogus"],
+    ["equiv", "{canon}"],
+    ["selftest", "--count", "x"],
+    ["nosuchcommand"],
+    [],
+])
+def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, argv):
+    files = {"state": write_json(tmp_path / "s.json", state_obj(
+                 [["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]])),
+             "canon": write_json(tmp_path / "c.json",
+                                 single_block_obj("1", ["0", "2"]))}
+    assert main([a.format(**files) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_negative_parameter_written_with_equals(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", single_block_obj("1", ["0", "2"]))
+    assert main(["symmetry-map", path, "--z2=-1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"][0]["lambda"] == "1"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["canonicalize", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sloccanon canonicalize")
 
 
 # -- equiv ------------------------------------------------------------------
