@@ -11,7 +11,6 @@ indecomposable remainder.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
@@ -225,18 +224,27 @@ def _coefficient_sweep(L: int, size: int):
 def max_rank_combination(psi: TensorState):
     """Coefficients t with rank(sum t_j Gamma_j) maximal, certified.
 
-    A rank r < N is the generic rank: the grid has size N + 1 >= r + 2
-    (see _coefficient_sweep), and the zero tuple it skips has rank 0.
-    The first tuple to reach the maximum is kept.
+    The maximum r* is taken over {1} x S^(L-1) first.  Rank is invariant
+    under scaling t, so the generic rank is that of the tuples with
+    t_1 = 1, whose (r+1)-minors still have degree <= r + 1 in each other
+    t_j; for r* < N the grid, of size N + 1 >= r* + 2, certifies it (see
+    _coefficient_sweep).  The result is the first tuple of the sweep to
+    reach r*, i.e. the sweep's first maximiser; no tuple is ranked twice.
     """
-    best_t, best_r = None, -1
+    sweep = list(_coefficient_sweep(psi.L, psi.N + 1))
+    known = {}
     for t, r in combination_ranks(psi.gammas,
-                                  _coefficient_sweep(psi.L, psi.N + 1)):
-        if r > best_r:
-            best_t, best_r = t, r
-            if r == psi.N:
-                break
-    return tuple(_coerce(c) for c in best_t), best_r
+                                  (t for t in sweep if t[0] == 1)):
+        known[t] = r
+        if r == psi.N:
+            break
+    target = max(known.values())
+    fresh = combination_ranks(psi.gammas,
+                              (t for t in sweep if t not in known))
+    for t in sweep:
+        r = known[t] if t in known else next(fresh)[1]
+        if r == target:
+            return tuple(_coerce(c) for c in t), r
 
 
 def _completion_matrix(t):
@@ -334,10 +342,12 @@ def rank_normal_form(m: Matrix):
     n_rows, n_cols = m.rows, m.cols
     aug = Matrix.from_rows([m.row(i) + Matrix.identity(n_rows).row(i)
                             for i in range(n_rows)])
-    red, _ = aug.rref()
+    red, aug_pivots = aug.rref()
     x = Matrix.from_rows([r[:n_cols] for r in red])
     p = Matrix.from_rows([r[n_cols:] for r in red])
-    _, pivots = x.rref()
+    # x = p @ m is the reduced echelon form of m: its pivots are those of
+    # [m | I] that fall in m's columns
+    pivots = [c for c in aug_pivots if c < n_cols]
     r = len(pivots)
     order = pivots + [c for c in range(n_cols) if c not in pivots]
     perm = Matrix.from_rows([[ONE if order[j] == i else ZERO
@@ -354,15 +364,6 @@ def rank_normal_form(m: Matrix):
     if p @ m @ q != expected:
         raise CheckFailed("p m q differs from diag(I_r, 0)")
     return p, q, r
-
-
-class _Piece:
-    """A summand of the joint decomposition: matrices r_dim x c_dim."""
-
-    def __init__(self, mats):
-        self.mats = list(mats)
-        self.r_dim = mats[0].rows
-        self.c_dim = mats[0].cols
 
 
 def _endomorphism_basis(mats):
@@ -396,28 +397,37 @@ def _column_space(m: Matrix):
     return [m.column(j) for j in pivots]
 
 
-def _split_piece(piece: _Piece, step: int):
-    """Try to split off a proper joint summand.
+def _trace_form_rank(basis) -> int:
+    """Rank of G_ab = tr(R_a R_b) + tr(C_a C_b); tr(XY) = vec(X).vec(Y^T)."""
+    left = Matrix.from_rows([r.entries + c.entries for r, c in basis])
+    right = Matrix.from_columns([r.transpose().entries + c.transpose().entries
+                                 for r, c in basis])
+    return (left @ right).rank()
 
-    Returns (piece_a, piece_b), None for indecomposable-evidence, or
-    raises NoSplitFound when an eigenvalue escapes the field.
+
+def _split_piece(piece):
+    """Split a piece (its list of matrices) into two, or return None.
+
+    In characteristic 0 the radical of the endomorphism algebra E is the
+    kernel of its trace form G (Dickson), so rank G = dim E/rad E; at
+    most 1 means E is local and the piece indecomposable.  Otherwise the
+    basis is tried in order: at the smallest eigenvalue of the first
+    side with two distinct eigenvalues in Q(i), the Fitting pair is an
+    idempotent endomorphism, nontrivial on that side, so it splits.  If
+    no element has such a side, one whose two sides have different
+    eigenvalues has Fitting pair (I, 0), so every matrix is zero; else
+    each element x has one eigenvalue, tr_j(x)/k_j on every simple factor
+    M_{k_j} of E/rad E, which a central idempotent rules out for two
+    factors: the piece is homogeneous, S^k.  In both cases its summands
+    are all full-rank squares or none are, so leaving it whole keeps
+    (n, m, i).  A side whose spectrum leaves Q(i) is skipped; with no
+    split found, NoSplitFound is raised.
     """
-    basis = _endomorphism_basis(piece.mats)
-    if len(basis) <= 1:
+    basis = _endomorphism_basis(piece)
+    if len(basis) <= 1 or _trace_form_rank(basis) <= 1:
         return None
-    rng = random.Random(step)
-    candidates = list(basis)
-    for _ in range(8):
-        coeffs = [Scalar.of(rng.randint(-9, 9), rng.randint(-9, 9))
-                  for _ in basis]
-        rmat = Matrix.zero(piece.r_dim, piece.r_dim)
-        cmat = Matrix.zero(piece.c_dim, piece.c_dim)
-        for c, (rb, cb) in zip(coeffs, basis):
-            rmat = rmat + rb.scale(c)
-            cmat = cmat + cb.scale(c)
-        candidates.append((rmat, cmat))
     unknown = False
-    for rmat, cmat in candidates:
+    for rmat, cmat in basis:
         for source in (rmat, cmat):
             if source.rows < 2:
                 continue
@@ -426,13 +436,10 @@ def _split_piece(piece: _Piece, step: int):
             except NotInField:
                 unknown = True
                 continue
-            if len(set(e.sort_key() for e in eigs)) < 2:
-                continue
-            lam = eigs[0]
-            split = _apply_projector(piece, _fitting_projector(rmat, lam),
-                                     _fitting_projector(cmat, lam))
-            if split is not None:
-                return split
+            if eigs[0] != eigs[-1]:
+                return _apply_projector(piece,
+                                        _fitting_projector(rmat, eigs[0]),
+                                        _fitting_projector(cmat, eigs[0]))
     if unknown:
         raise NoSplitFound(
             "endomorphism spectrum leaves the Gaussian rationals")
@@ -459,51 +466,39 @@ def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:
     return u @ d @ u.inverse()
 
 
-def _apply_projector(piece: _Piece, p_r: Matrix, p_c: Matrix):
-    """Change basis along an idempotent pair; None if the pair is unusable."""
-    if not (p_r @ p_r == p_r and p_c @ p_c == p_c):
-        return None
-    id_r = Matrix.identity(piece.r_dim)
-    id_c = Matrix.identity(piece.c_dim)
-    im_r = _column_space(p_r)
-    im_c = _column_space(p_c)
+def _apply_projector(piece, p_r: Matrix, p_c: Matrix):
+    """Split along an idempotent endomorphism pair, nontrivial on a side.
+
+    Its image and kernel are joint submodules, so every matrix is block
+    diagonal in the bases [im P | im (I - P)]; CheckFailed otherwise.
+    """
+    rows, cols = piece[0].rows, piece[0].cols
+    im_r, im_c = _column_space(p_r), _column_space(p_c)
     ra, ca = len(im_r), len(im_c)
-    if (ra, ca) in ((0, 0), (piece.r_dim, piece.c_dim)):
-        return None
-    cols_r = im_r + _column_space(id_r - p_r)
-    cols_c = im_c + _column_space(id_c - p_c)
-    if len(cols_r) != piece.r_dim or len(cols_c) != piece.c_dim:
-        return None
-    u = Matrix.from_columns(cols_r) if cols_r else Matrix.identity(0)
-    v = Matrix.from_columns(cols_c) if cols_c else Matrix.identity(0)
-    u_inv = u.inverse()
-    mats_a, mats_b = [], []
-    for m in piece.mats:
-        w = u_inv @ m @ v
-        off1 = w.submatrix(range(ra), range(ca, piece.c_dim))
-        off2 = w.submatrix(range(ra, piece.r_dim), range(ca))
-        if not (off1.is_zero() and off2.is_zero()):
-            return None
-        mats_a.append(w.submatrix(range(ra), range(ca)))
-        mats_b.append(w.submatrix(range(ra, piece.r_dim),
-                                  range(ca, piece.c_dim)))
-    return _Piece(mats_a), _Piece(mats_b)
+    if not (p_r @ p_r == p_r and p_c @ p_c == p_c) or \
+            (ra, ca) in ((0, 0), (rows, cols)):
+        raise CheckFailed("projector pair is not a nontrivial idempotent")
+    u_inv = Matrix.from_columns(
+        im_r + _column_space(Matrix.identity(rows) - p_r)).inverse()
+    v = Matrix.from_columns(im_c + _column_space(Matrix.identity(cols) - p_c))
+    blocks = [u_inv @ m @ v for m in piece]
+    if not all(w.submatrix(range(ra), range(ca, cols)).is_zero() and
+               w.submatrix(range(ra, rows), range(ca)).is_zero()
+               for w in blocks):
+        raise CheckFailed("projector pair does not split the piece")
+    return ([w.submatrix(range(ra), range(ca)) for w in blocks],
+            [w.submatrix(range(ra, rows), range(ca, cols)) for w in blocks])
 
 
 def _decompose_fully(mats):
-    pending = [_Piece(mats)]
-    done = []
-    step = 0
+    pending, done = [mats], []
     while pending:
         piece = pending.pop(0)
-        if piece.r_dim == 0 and piece.c_dim == 0:
-            continue
-        result = _split_piece(piece, step)
-        step += 1
-        if result is None:
+        parts = _split_piece(piece)
+        if parts is None:
             done.append(piece)
         else:
-            pending.extend(result)
+            pending.extend(parts)
     return done
 
 
@@ -528,32 +523,22 @@ def nonfull_rank_split(psi: TensorState, *, sweep=None) -> PartitionedForm:
     pieces = _decompose_fully(mats)
     gamma_pieces, beta_pieces = [], []
     for piece in pieces:
-        lam_part = piece.mats[0]
-        if (piece.r_dim == piece.c_dim and piece.r_dim > 0
-                and lam_part.rank() == piece.r_dim):
+        lam_part = piece[0]
+        if (lam_part.rows == lam_part.cols > 0
+                and lam_part.rank() == lam_part.rows):
             gamma_pieces.append(piece)
         else:
             beta_pieces.append(piece)
-    n = sum(pc.r_dim for pc in gamma_pieces)
-    m = psi.N - n
-    if sum(pc.r_dim for pc in beta_pieces) != m or \
-            sum(pc.c_dim for pc in beta_pieces) != m:
-        raise NoSplitFound("summand shapes do not assemble into square parts")
-    gamma_part = []
-    for j in range(1, psi.L):
-        blocks = [pc.mats[0].inverse() @ pc.mats[j] for pc in gamma_pieces]
-        gamma_part.append(Matrix.block_diag(blocks) if blocks
-                          else Matrix.identity(0))
-    lam_beta = Matrix.block_diag([pc.mats[0] for pc in beta_pieces]) \
-        if beta_pieces else Matrix.identity(0)
-    pb, qb, rb = rank_normal_form(lam_beta)
+    n = sum(pc[0].rows for pc in gamma_pieces)
+    gamma_part = [Matrix.block_diag([pc[0].inverse() @ pc[j]
+                                     for pc in gamma_pieces])
+                  for j in range(1, psi.L)]
+    lam_beta = Matrix.block_diag([pc[0] for pc in beta_pieces])
+    pb, qb, _ = rank_normal_form(lam_beta)
     lambda_prime = pb @ lam_beta @ qb
-    beta_part = []
-    for j in range(1, psi.L):
-        bj = Matrix.block_diag([pc.mats[j] for pc in beta_pieces]) \
-            if beta_pieces else Matrix.identity(0)
-        beta_part.append(pb @ bj @ qb)
-    return PartitionedForm(n, m, deficiency, tuple(gamma_part),
+    beta_part = [pb @ Matrix.block_diag([pc[j] for pc in beta_pieces])
+                 @ qb for j in range(1, psi.L)]
+    return PartitionedForm(n, psi.N - n, deficiency, tuple(gamma_part),
                            tuple(beta_part), lambda_prime)
 
 

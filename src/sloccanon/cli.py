@@ -14,7 +14,10 @@ missing value and exits 3.
 canonicalize is deterministic.  On a rank-deficient state its maximal
 rank and the remainder's rank condition are certified, not sampled:
 both come from grid sweeps that no other coefficient tuple can beat
-(see canon._coefficient_sweep).
+(see canon._coefficient_sweep).  The split into a full-rank part and a
+remainder draws no random numbers, and a summand it calls
+indecomposable is certified by the rank of its endomorphism algebra's
+trace form (see canon._split_piece).
 """
 
 from __future__ import annotations
@@ -202,19 +205,20 @@ def canon_from_json(obj) -> CanonicalForm:
                           for entry in _list(row, where))
                     for row in _list(blk["grid"], where))
                 runs.append(AClassRun(lam, sizes, grid))
+            except ParseError:
+                raise
             except SloccError as exc:
                 raise ParseError(f"{where}: {exc}")
         else:
             raise ParseError(f"{where}: need coeffs or grid")
+    # plain blocks sharing a grid run's eigenvalue would need a merged
+    # grid the file does not provide
+    if any(r.lam == lam for lam, _, _ in simple_blocks for r in runs):
+        raise ParseError("canon file: plain block repeats a grid eigenvalue")
     try:
         if simple_blocks and not runs:
             return CanonicalForm.from_blocks(simple_blocks)
-        # plain blocks sharing a grid run's eigenvalue would need a merged
-        # grid the file does not provide
         for lam, size, coeffs in simple_blocks:
-            if any(r.lam == lam for r in runs):
-                raise ParseError(
-                    "canon file: plain block repeats a grid eigenvalue")
             runs.append(AClassRun(lam, (size,),
                                   ((TruncPoly(size, coeffs),),)))
         key = lambda r: (r.lam.sort_key(), tuple(-s for s in r.sizes))

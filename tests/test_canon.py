@@ -8,17 +8,20 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 from sympy.polys.matrices import DomainMatrix
 
+from sloccanon import canon
 from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
-                             TensorState, _coefficient_sweep,
-                             _fitting_projector, apply_ilo,
+                             TensorState, _apply_projector,
+                             _coefficient_sweep, _completion_matrix,
+                             _fitting_projector, _split_piece, apply_ilo,
                              beta_canonical_check, commuting_pair_canonical,
                              eigen_shift, full_rank_reduce,
                              max_rank_combination, nonfull_rank_split,
                              rank_normal_form)
-from sloccanon.errors import (CheckFailed, DimensionMismatch, NotCommuting,
-                              NotFullRank, NotInField)
-from sloccanon.exactmat import (JordanSpec, Matrix, Scalar, jordan_block,
-                                jordan_matrix)
+from sloccanon.errors import (CheckFailed, DimensionMismatch, NoSplitFound,
+                              NotCommuting, NotFullRank, NotInField)
+from sloccanon.exactmat import (JordanSpec, Matrix, Scalar,
+                                combination_ranks, eigenvalues_in_field,
+                                jordan_block, jordan_matrix)
 
 
 def sc(re, im=0):
@@ -102,6 +105,108 @@ def test_max_rank_certified_beyond_five_values():
                 Matrix.diagonal([-u for u, _ in dirs] + [0]))
     assert max_rank_combination(psi) == ((sc(1), sc(3)), 8)
     assert _generic_rank(psi.gammas) == 8
+
+
+# -- planted direct sums ----------------------------------------------------
+# A summand is (slot matrices, kind).  Regular Jordan blocks (I, J, a + N)
+# and the nilpotent pencil blocks (N, I, c) are full rank at a generic
+# combination; L_k = ([I_k | 0], [0 | I_k]) and its transpose are not:
+# L_k^T and so(3) each fall one short of full rank.
+
+def _shift(k, cols=None):
+    cols = k if cols is None else cols
+    return Matrix(k, cols, [sc(1) if j == i + 1 else sc(0)
+                            for i in range(k) for j in range(cols)])
+
+
+def _regular(L, k, lam, a):
+    n = _shift(k)
+    return [Matrix.identity(k), jordan_block(sc(lam), k),
+            Matrix.identity(k).scale(sc(a)) + n][:L], "full"
+
+
+def _nilpotent_pencil(L, k, c):
+    return [_shift(k), Matrix.identity(k),
+            Matrix.identity(k).scale(sc(c))][:L], "full"
+
+
+def _kronecker(L, k, c, transpose=False):
+    e = Matrix(k, k + 1, [sc(1) if i == j else sc(0)
+                          for i in range(k) for j in range(k + 1)])
+    mats = [e, _shift(k, k + 1), e.scale(sc(c))][:L]
+    if transpose:
+        return [m.transpose() if k else Matrix(1, 0, ()) for m in mats], "LT"
+    return mats, "L"
+
+
+SO3 = ([M([[0, 0, 0], [0, 0, -1], [0, 1, 0]]),
+        M([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+        M([[0, -1, 0], [1, 0, 0], [0, 0, 0]])], "so3")
+
+
+def _direct_sum(summands):
+    rows = sum(mats[0].rows for mats, _ in summands)
+    cols = sum(mats[0].cols for mats, _ in summands)
+    out = []
+    for slot in range(len(summands[0][0])):
+        entries = [[sc(0)] * cols for _ in range(rows)]
+        r0 = c0 = 0
+        for mats, _ in summands:
+            m = mats[slot]
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    entries[r0 + i][c0 + j] = m[i, j]
+            r0, c0 = r0 + m.rows, c0 + m.cols
+        out.append(Matrix(rows, cols, [e for row in entries for e in row]))
+    return out
+
+
+def _unit_triangular(n, vals, lower):
+    vals = iter(vals)
+    return Matrix(n, n, [sc(1) if i == j else
+                         sc(next(vals)) if (i > j) == lower else sc(0)
+                         for i in range(n) for j in range(n)])
+
+
+def _scrambled(summands, vals):
+    """The direct sum under P = L1 U1 and Q = U2 L2, unit triangular."""
+    gammas = _direct_sum(summands)
+    n = gammas[0].rows
+    k = n * (n - 1) // 2
+    vals = list(vals) * (4 * k // max(len(vals), 1) + 1)
+    p = _unit_triangular(n, vals[:k], True) @ \
+        _unit_triangular(n, vals[k:2 * k], False)
+    q = _unit_triangular(n, vals[2 * k:3 * k], False) @ \
+        _unit_triangular(n, vals[3 * k:4 * k], True)
+    return state(*[p @ g @ q for g in gammas])
+
+
+def _sweep_state():
+    # N = 8, L = 3, generic rank 6: two regular blocks, L_1 + L_1^T and
+    # L_0 + L_1^T
+    return _scrambled([_regular(3, 2, 1, 2), _regular(3, 1, -1, 2),
+                       _kronecker(3, 1, 1), _kronecker(3, 1, 0, True),
+                       _kronecker(3, 0, 0), _kronecker(3, 1, -1, True)],
+                      [1, 0, -1, 1, 1, 0])
+
+
+def test_max_rank_sweep_stops_at_certified_rank(monkeypatch):
+    psi = _sweep_state()
+    sweep = list(_coefficient_sweep(3, 9))
+    ranks = [r for _, r in combination_ranks(psi.gammas, sweep)]
+    first = ranks.index(max(ranks))
+    ranked = []
+
+    def counting(mats, tuples, base=None):
+        for t, r in combination_ranks(mats, tuples, base):
+            ranked.append(t)
+            yield t, r
+
+    monkeypatch.setattr(canon, "combination_ranks", counting)
+    t, r = max_rank_combination(psi)
+    assert (len(sweep), max(ranks)) == (728, 6)
+    assert (t, r) == (tuple(sc(c) for c in sweep[first]), 6)
+    assert len(ranked) == len(set(ranked)) <= 81 + first
 
 
 def _scalar_max_rank(psi):
@@ -380,6 +485,128 @@ def test_fitting_projector_on_conjugated_jordan_matrices(blocks, svals):
             power = power @ shifted
         assert (power @ p).is_zero()
         assert p.rank() == sum(size for mu, size in blocks if mu == lam)
+
+
+def _piece_of_strings(rows_by_slot):
+    return [M([[Fraction(x) for x in row] for row in rows])
+            for rows in rows_by_slot]
+
+
+# the 6 x 6 piece that SO3_SQUARED in test_cli.py leaves after the split
+# of its 1 x 1 block: so(3) + so(3) in another basis, with endomorphism
+# algebra M_2(Q(i)) and a basis whose every element has an irreducible
+# quadratic spectrum
+SO3_SQUARED_PIECE = [
+    [["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "-1", "0"],
+     ["0", "0", "1", "0", "0", "0"], ["0", "0", "0", "1", "1", "0"],
+     ["0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"]],
+    [["-1", "1/2", "1/2", "-9/2", "-1", "-4"],
+     ["0", "1/2", "1/2", "-3/2", "-1", "1"],
+     ["1/2", "-1/4", "1/4", "5/4", "0", "5/2"],
+     ["1/2", "1/4", "-5/4", "15/4", "1", "3/2"],
+     ["1", "3/2", "-1/2", "5/2", "1", "0"], ["0", "2", "-2", "2", "0", "0"]],
+    [["-1", "-1/2", "1", "-2", "-1/2", "1"], ["0", "-1/2", "0", "0", "1/2", "0"],
+     ["1/2", "-1/4", "-1/2", "1", "-1/4", "5/2"],
+     ["1/2", "1/4", "-1/2", "2", "-3/4", "3/2"],
+     ["1", "3/2", "-1", "1", "-1/2", "0"], ["0", "2", "0", "0", "-2", "0"]]]
+
+
+def test_split_piece_local_piece_computes_no_spectrum(monkeypatch):
+    # (I, J_2(3)): endomorphisms are the polynomials in J, a local algebra
+    # with two basis elements and trace-form rank 1
+    calls = []
+
+    def counting(m, hints=None):
+        calls.append(m)
+        return eigenvalues_in_field(m, hints)
+
+    monkeypatch.setattr(canon, "eigenvalues_in_field", counting)
+    assert _split_piece([Matrix.identity(2), jordan_block(sc(3), 2)]) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("mats,shapes", [
+    ([M([[1, 0]]), M([[0, 1]])], None),                       # L_1
+    (SO3[0], None),                                           # so(3)
+    ([Matrix.identity(2), jordan_block(sc(0), 2)], None),     # Jordan block
+    ([Matrix.identity(2), Matrix.diagonal([1, 2])], [(1, 1), (1, 1)]),
+    ([Matrix.identity(2), Matrix.diagonal([3, 3])], [(1, 1), (1, 1)]),
+], ids=["L1", "so3", "jordan", "distinct", "equal"])
+def test_split_piece_on_known_pieces(mats, shapes):
+    result = _split_piece(mats)
+    if shapes is None:
+        assert result is None
+    else:
+        assert [(pc[0].rows, pc[0].cols) for pc in result] == shapes
+
+
+def test_split_piece_so3_squared_gives_up():
+    with pytest.raises(NoSplitFound):
+        _split_piece(_piece_of_strings(SO3_SQUARED_PIECE))
+
+
+@pytest.mark.parametrize("p_r,p_c", [
+    (Matrix.identity(2).scale(sc(2)), Matrix.identity(2)),   # not idempotent
+    (Matrix.zero(2, 2), Matrix.zero(2, 2)),                  # trivial
+    (Matrix.identity(2), Matrix.identity(2)),                # trivial
+    (Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])),      # not a module map
+], ids=["not-idempotent", "zero", "identity", "off-diagonal"])
+def test_apply_projector_refuses_unusable_pairs(p_r, p_c):
+    piece = [Matrix.identity(2), Matrix.diagonal([1, 2])]
+    with pytest.raises(CheckFailed):
+        _apply_projector(piece, p_r, p_c)
+
+
+def _pencil_polys(gammas):
+    """Characteristic polynomials of gamma_2 + s * gamma_3 (or of gamma_2)."""
+    if len(gammas) == 1:
+        return [gammas[0].char_poly()]
+    return [(gammas[0] + gammas[1].scale(sc(s))).char_poly()
+            for s in (0, 1, -2, Fraction(1, 3))]
+
+
+_full_rank_summand = st.one_of(
+    st.builds(_regular, st.just(3), st.integers(1, 2), st.integers(-2, 2),
+              st.integers(-2, 2)),
+    st.builds(_nilpotent_pencil, st.just(3), st.integers(1, 2),
+              st.integers(-1, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.lists(_full_rank_summand, max_size=2),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(-1, 1)), min_size=1, max_size=2),
+       st.booleans(), st.randoms(use_true_random=False),
+       st.lists(st.integers(-1, 1), min_size=1, max_size=60))
+def test_nonfull_rank_split_recovers_planted_summands(L, full, pairs, so3,
+                                                      rnd, vals):
+    # the full-rank summands are drawn with three slots
+    summands = [(mats[:L], kind) for mats, kind in full]
+    for k, kt, c in pairs:
+        summands += [_kronecker(L, k, c), _kronecker(L, kt, c, True)]
+    if so3 and L == 3:
+        summands.append(SO3)
+    assume(any(k or kt for k, kt, _ in pairs) or (so3 and L == 3))
+    rnd.shuffle(summands)
+    psi = _scrambled(summands, vals)
+    assume(psi.N <= 8)
+    planted = [(mats, kind) for mats, kind in summands if kind == "full"]
+    n = sum(mats[0].rows for mats, _ in planted)
+    i = sum(kind in ("LT", "so3") for _, kind in summands)
+    t, r = max_rank_combination(psi)
+    pf = nonfull_rank_split(psi, sweep=(t, r))
+    assert (pf.n, pf.m, pf.i) == (n, psi.N - n, i)
+    if planted:
+        # the full-rank part is similar to the planted one mixed by the
+        # same T: gamma_j = S_1^-1 S_(j+1) with S_k = sum_l T_kl Gamma_l
+        tmat = _completion_matrix(t)
+        slots = _direct_sum(planted)
+        mixed = [Matrix.zero(n, n)] * L
+        for k in range(L):
+            for j in range(L):
+                mixed[k] = mixed[k] + slots[j].scale(tmat[k, j])
+        expected = [mixed[0].inverse() @ s for s in mixed[1:]]
+        assert _pencil_polys(pf.gamma_part) == _pencil_polys(expected)
 
 
 def test_split_already_partitioned():

@@ -155,6 +155,22 @@ def test_canon_file_malformed_grid_is_a_parse_error(tmp_path, capsys, block,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([{"lambda": "0", "sizes": [1], "grid": [[["x"]]]}],
+     "canon file block 0: bad scalar literal 'x'"),
+    ([{"lambda": "0", "sizes": [1], "grid": [[None]]}],
+     "canon file block 0: expected a list, got NoneType"),
+    ([{"lambda": "0", "sizes": [1], "grid": [[["1"]]]},
+      {"lambda": "0", "size": 1, "coeffs": ["1"]}],
+     "canon file: plain block repeats a grid eigenvalue"),
+], ids=["bad-scalar", "null-entry", "repeated-eigenvalue"])
+def test_canon_file_error_names_its_place_once(tmp_path, capsys, blocks,
+                                               message):
+    path = write_json(tmp_path / "c.json", {"blocks": blocks})
+    assert main(["symmetry-map", path]) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_canon_file_integer_sizes_may_be_strings():
     assert canon_from_json({"blocks": [
         {"lambda": "1", "size": " 2", "coeffs": ["0", "1"]}]}) == \
@@ -247,6 +263,34 @@ def test_canonicalize_rank_deficient_golden_bytes(tmp_path, capsys, state,
     path = write_json(tmp_path / "s.json", state)
     assert main(["canonicalize", path, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+# so(3) + so(3) + the 1 x 1 block (1, 2, 3), scrambled by P and Q with
+# entries in {-1, 0, 1}: every summand is rational, but each element of
+# the endomorphism basis of the 6 x 6 remainder piece (an algebra
+# M_2(Q(i))) has an irreducible quadratic spectrum, so the split gives up
+SO3_SQUARED = {"L": 3, "N": 7, "gammas": [
+    [[0, 0, 1, -1, -1, -1, 1], [0, -2, 2, -1, 0, -1, -2],
+     [2, -1, 0, 2, 3, 3, 0], [-1, 2, -2, -1, -2, -1, 3],
+     [-2, 0, 2, -3, -2, -1, 0], [1, 2, 0, 2, 0, 0, 1],
+     [-3, -1, 1, -4, -2, -1, -1]],
+    [[1, 1, 1, 0, 0, 2, 1], [3, -2, 0, 5, 2, 2, -2],
+     [-1, 1, -2, 0, 1, -3, -1], [-3, 3, 0, -6, -3, -1, 3],
+     [-1, 0, 2, -1, -2, 2, 2], [0, 2, -1, 0, -1, 1, 1],
+     [-1, -1, 2, 0, -1, 1, 1]],
+    [[1, 1, -1, 0, 0, 2, 2], [4, -1, -1, 3, 2, 1, 0],
+     [-1, 0, 1, 0, -3, -1, 0], [-4, 3, 1, -5, -2, -1, 1],
+     [-2, 3, -1, -3, -2, 3, 4], [0, -1, 0, 2, -1, -1, 0],
+     [-2, 4, -1, -4, -1, 2, 4]]]}
+
+
+@pytest.mark.xfail(strict=True, reason="a homogeneous piece whose "
+                   "endomorphism basis has irrational spectra ends in exit 3")
+def test_canonicalize_so3_squared_remainder(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", SO3_SQUARED)
+    assert main(["canonicalize", path, "--json"]) == 0
+    part = json.loads(capsys.readouterr().out)["partition"]
+    assert (part["n"], part["m"], part["i"]) == (1, 6, 2)
 
 
 def test_canonicalize_roundtrip_is_byte_identical(tmp_path, capsys):
