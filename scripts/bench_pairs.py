@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Alternating parent/change runs of the benchmark, written to BENCH_<pr>.json.
+"""Alternating parent/change runs of the benchmark, summarised in JSON.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload canonicalize --seeds 61001-61010 --out BENCH_7.json
+        --workload canonicalize --seeds 61001-61010 --out pairs.json
 
 Pair k runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in each checkout, each in a fresh interpreter with the checkout as
@@ -89,7 +89,7 @@ def _git(path, *args):
 
 def _checkout(path):
     status = _git(path, "status", "--porcelain")
-    return {"path": str(path), "commit": _git(path, "rev-parse", "HEAD"),
+    return {"commit": _git(path, "rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status)}
 
 
