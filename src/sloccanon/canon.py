@@ -88,23 +88,30 @@ class AClassRun:
 class CanonicalForm:
     """The (E, J, A) canonical triple; E is implicit.
 
-    spec fixes J; runs carry the polynomial classes of A, aligned with
-    spec.runs().
+    runs carry J's blocks and the polynomial classes of A, one run per
+    eigenvalue.  They are kept in the normal order, eigenvalues ascending
+    in the Scalar total order, whatever order they are given in.
     """
 
-    spec: JordanSpec
     runs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        expected = self.spec.runs()
-        got = [(r.lam, r.sizes) for r in self.runs]
-        if got != expected:
-            raise PatternViolation("runs do not match the Jordan spec")
+        runs = tuple(sorted(self.runs, key=lambda r: r.lam.sort_key()))
+        for first, second in zip(runs, runs[1:]):
+            if first.lam == second.lam:
+                raise PatternViolation(
+                    f"two runs share the eigenvalue {first.lam}")
+        object.__setattr__(self, "runs", runs)
+
+    @property
+    def spec(self) -> JordanSpec:
+        """J's normalized block list."""
+        return JordanSpec(tuple((r.lam, size) for r in self.runs
+                                for size in r.sizes))
 
     @property
     def dim(self) -> int:
-        return self.spec.dim
+        return sum(sum(r.sizes) for r in self.runs)
 
     def is_derogatory(self) -> bool:
         return any(len(r.sizes) > 1 for r in self.runs)
@@ -132,31 +139,25 @@ class CanonicalForm:
     def from_blocks(blocks) -> "CanonicalForm":
         """Build a nonderogatory-style form from [(lam, size, coeffs)].
 
-        Blocks sharing an eigenvalue are merged into one run with zero
-        off-diagonal classes.  Input need not be sorted.
+        Blocks sharing an eigenvalue are merged into one run, largest
+        first, with zero off-diagonal classes.  Input need not be sorted.
         """
-        key = lambda b: (b[0].sort_key(), -b[1])
-        blocks = sorted(((_coerce(lam), int(size), tuple(map(_coerce, cs)))
-                         for lam, size, cs in blocks), key=key)
-        spec = JordanSpec(tuple((lam, size) for lam, size, _ in blocks))
+        groups = {}
+        for lam, size, cs in blocks:
+            lam = _coerce(lam)
+            groups.setdefault(lam, []).append(
+                (int(size), tuple(map(_coerce, cs))))
         runs = []
-        for lam, sizes in spec.runs():
-            n1 = sizes[0]
-            coeff_lists = [cs for blam, bsize, cs in blocks
-                           if blam == lam]
-            grid = []
-            for i, ni in enumerate(sizes):
-                row = []
-                for jdx, nj in enumerate(sizes):
-                    if i == jdx:
-                        cs = coeff_lists[i]
-                        row.append(TruncPoly(
-                            n1, tuple(cs) + (ZERO,) * (n1 - len(cs))))
-                    else:
-                        row.append(TruncPoly.constant(0, n1))
-                grid.append(tuple(row))
-            runs.append(AClassRun(lam, sizes, tuple(grid)))
-        return CanonicalForm(spec, tuple(runs))
+        for lam, group in groups.items():
+            group.sort(key=lambda b: -b[0])
+            n1 = group[0][0]
+            grid = [tuple(TruncPoly(n1, cs + (ZERO,) * (n1 - len(cs)))
+                          if i == j else TruncPoly.constant(0, n1)
+                          for j in range(len(group)))
+                    for i, (_, cs) in enumerate(group)]
+            runs.append(AClassRun(lam, tuple(size for size, _ in group),
+                                  tuple(grid)))
+        return CanonicalForm(tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,21 @@ class PartitionedForm:
 def apply_ilo(psi: TensorState, ops: ILOTriple) -> TensorState:
     if ops.t.rows != psi.L or ops.p.rows != psi.N or ops.q.rows != psi.N:
         raise DimensionMismatch("operator dimensions do not match the state")
-    moved = [ops.p @ g @ ops.q for g in psi.gammas]
+    return TensorState(psi.L, psi.N,
+                       _mix(ops.t, [ops.p @ g @ ops.q for g in psi.gammas]))
+
+
+def _mix(t: Matrix, gammas):
+    """The slots mixed by T: slot i is sum_j t[i, j] * gammas[j]."""
     out = []
-    for i in range(psi.L):
-        acc = Matrix.zero(psi.N, psi.N)
-        for j in range(psi.L):
-            tij = ops.t[i, j]
+    for i in range(t.rows):
+        acc = Matrix.zero(gammas[0].rows, gammas[0].cols)
+        for j, g in enumerate(gammas):
+            tij = t[i, j]
             if not tij.is_zero():
-                acc = acc + moved[j].scale(tij)
+                acc = acc + g.scale(tij)
         out.append(acc)
-    return TensorState(psi.L, psi.N, tuple(out))
+    return tuple(out)
 
 
 def _coefficient_sweep(L: int, size: int):
@@ -248,7 +254,7 @@ def max_rank_combination(psi: TensorState):
 
 
 def _completion_matrix(t):
-    """Invertible matrix with first row t (t nonzero)."""
+    """Invertible matrix with first row t (t nonzero); checked exactly."""
     L = len(t)
     t = [_coerce(c) for c in t]
     pivot = next(i for i, c in enumerate(t) if not c.is_zero())
@@ -256,7 +262,10 @@ def _completion_matrix(t):
     for k in range(L):
         if k != pivot:
             rows.append([ONE if j == k else ZERO for j in range(L)])
-    return Matrix.from_rows(rows)
+    tmat = Matrix.from_rows(rows)
+    if tmat.rank() != L:
+        raise CheckFailed("slot-mixing matrix is singular")
+    return tmat
 
 
 def full_rank_reduce(psi: TensorState, *, sweep=None) -> TensorState:
@@ -270,23 +279,9 @@ def full_rank_reduce(psi: TensorState, *, sweep=None) -> TensorState:
     t, r = sweep or max_rank_combination(psi)
     if r < psi.N:
         raise NotFullRank(f"maximum attained rank {r} < {psi.N}")
-    tmat = _completion_matrix(t)
-    mixed = apply_ilo(psi, ILOTriple(tmat, Matrix.identity(psi.N),
-                                     Matrix.identity(psi.N)))
-    p = mixed.gammas[0].inverse()
-    return TensorState(psi.L, psi.N,
-                       tuple(p @ g for g in mixed.gammas))
-
-
-def eigen_shift(psi: TensorState, hints=None) -> TensorState:
-    """Subtract the smallest eigenvalue times E from every later slot."""
-    if psi.gammas[0] != Matrix.identity(psi.N):
-        raise NotFullRank("first slot must be the identity")
-    out = [psi.gammas[0]]
-    for g in psi.gammas[1:]:
-        lam = eigenvalues_in_field(g, hints)[0]
-        out.append(g - Matrix.identity(psi.N).scale(lam))
-    return TensorState(psi.L, psi.N, tuple(out))
+    mixed = _mix(_completion_matrix(t), psi.gammas)
+    p = mixed[0].inverse()
+    return TensorState(psi.L, psi.N, tuple(p @ g for g in mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +301,17 @@ def commuting_pair_canonical(a2: Matrix, a3: Matrix, hints=None):
         raise NotCommuting("slots two and three do not commute")
     s, spec = jordan_decompose(a2, hints)
     b = s.inverse() @ a3 @ s
-    runs = []
-    offset = 0
-    run_slices = []
+    runs, offset = [], 0
     for lam, sizes in spec.runs():
-        run_slices.append((lam, sizes, offset))
+        # block (i, j) of the run starts at row starts[i], column starts[j]
+        starts = [offset + sum(sizes[:k]) for k in range(len(sizes))]
+        grid = [[TruncPoly(sizes[0], tuple(
+                    b[si, sj + k] if k < nj else ZERO
+                    for k in range(sizes[0])))
+                 for sj, nj in zip(starts, sizes)] for si in starts]
+        runs.append(AClassRun(lam, sizes, grid))
         offset += sum(sizes)
-    for lam, sizes, off in run_slices:
-        n1 = sizes[0]
-        suboffsets = [off + sum(sizes[:k]) for k in range(len(sizes))]
-        grid = []
-        for i, ni in enumerate(sizes):
-            row = []
-            for jdx, nj in enumerate(sizes):
-                coeffs = [ZERO] * n1
-                for k in range(nj):
-                    coeffs[k] = b[suboffsets[i], suboffsets[jdx] + k]
-                row.append(TruncPoly(n1, tuple(coeffs)))
-            grid.append(tuple(row))
-        runs.append(AClassRun(lam, tuple(sizes), tuple(grid)))
-    cf = CanonicalForm(spec, tuple(runs))
+    cf = CanonicalForm(tuple(runs))
     _, a_check = cf.assemble()
     if a_check != b:
         raise PatternViolation(
@@ -515,11 +501,9 @@ def nonfull_rank_split(psi: TensorState, *, sweep=None) -> PartitionedForm:
     deficiency = psi.N - r
     if deficiency == 0:
         raise NotFullRank("state has full rank; use the full-rank pipeline")
-    tmat = _completion_matrix(t)
-    mixed = apply_ilo(psi, ILOTriple(tmat, Matrix.identity(psi.N),
-                                     Matrix.identity(psi.N)))
-    p, q, _ = rank_normal_form(mixed.gammas[0])
-    mats = [p @ g @ q for g in mixed.gammas]
+    mixed = _mix(_completion_matrix(t), psi.gammas)
+    p, q, _ = rank_normal_form(mixed[0])
+    mats = [p @ g @ q for g in mixed]
     pieces = _decompose_fully(mats)
     gamma_pieces, beta_pieces = [], []
     for piece in pieces:

@@ -9,7 +9,8 @@ Exit codes: 0 success/equivalent, 1 fail/inequivalent, 2
 undecided/degenerate, 3 parse or usage error, 4 eigenvalue outside the
 Gaussian rationals, 5 non-commuting reduced pair.  A negative parameter
 is written with "=", as in ``--z2=-1/2``; ``--z2 -1/2`` reads as a
-missing value and exits 3.
+missing value and exits 3.  ``selftest --jobs K`` starts at most
+min(K, count, CPU count) worker processes; K below 1 exits 3.
 
 canonicalize is deterministic.  On a rank-deficient state its maximal
 rank and the remainder's rank condition are certified, not sampled:
@@ -170,7 +171,6 @@ def canon_to_json(cf: CanonicalForm):
 
 def canon_from_json(obj) -> CanonicalForm:
     from .canon import AClassRun
-    from .exactmat import JordanSpec
     from .nilpoly import TruncPoly
 
     if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list) \
@@ -216,15 +216,8 @@ def canon_from_json(obj) -> CanonicalForm:
     if any(r.lam == lam for lam, _, _ in simple_blocks for r in runs):
         raise ParseError("canon file: plain block repeats a grid eigenvalue")
     try:
-        if simple_blocks and not runs:
-            return CanonicalForm.from_blocks(simple_blocks)
-        for lam, size, coeffs in simple_blocks:
-            runs.append(AClassRun(lam, (size,),
-                                  ((TruncPoly(size, coeffs),),)))
-        key = lambda r: (r.lam.sort_key(), tuple(-s for s in r.sizes))
-        runs.sort(key=key)
-        spec = JordanSpec(tuple((r.lam, s) for r in runs for s in r.sizes))
-        return CanonicalForm(spec, tuple(runs))
+        return CanonicalForm(
+            (*runs, *CanonicalForm.from_blocks(simple_blocks).runs))
     except SloccError as exc:
         raise ParseError(f"canon file: {exc}")
 
@@ -359,6 +352,8 @@ def cmd_symmetry_map(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     suites = list(TRIAL_SUITES) if args.profile == "all" else [args.profile]
     all_records = []
     failures = 0

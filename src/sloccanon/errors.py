@@ -37,10 +37,6 @@ class NotReversible(SloccError):
     pass
 
 
-class NotToeplitz(SloccError):
-    pass
-
-
 class PatternViolation(SloccError):
     pass
 

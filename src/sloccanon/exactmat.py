@@ -592,24 +592,19 @@ def _field_roots(coeffs):
     splits completely, else the first irreducible non-linear factor.
     """
     import sympy
+    from sympy.polys.domains import QQ_I
 
-    x = sympy.Symbol("x")
-    expr = sum(
-        (sympy.Rational(c.re.numerator, c.re.denominator)
-         + sympy.Rational(c.im.numerator, c.im.denominator) * sympy.I)
-        * x ** k
-        for k, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, x, domain="QQ_I")
+    poly = sympy.Poly([scalar_to_qqi(c) for c in reversed(coeffs)],
+                      sympy.Symbol("x"), domain=QQ_I)
     roots = []
     residual = None
     for factor, mult in poly.factor_list()[1]:
         if factor.degree() == 1:
-            a1, a0 = factor.all_coeffs()
-            root = _from_sympy(-sympy.together(a0 / a1))
-            roots.extend([root] * mult)
+            a1, a0 = factor.rep.to_list()
+            roots.extend([scalar_from_qqi(-a0 / a1)] * mult)
         elif residual is None:
-            residual = tuple(_from_sympy(c)
-                             for c in reversed(factor.all_coeffs()))
+            residual = tuple(scalar_from_qqi(c)
+                             for c in reversed(factor.rep.to_list()))
     # exact double check against our own arithmetic
     rem = list(coeffs)
     for r in [] if residual is not None else roots:
@@ -617,13 +612,32 @@ def _field_roots(coeffs):
     return roots, residual
 
 
-def _from_sympy(expr) -> Scalar:
+def scalar_to_qqi(s: Scalar):
+    """s as an element of sympy's domain QQ_I."""
+    from sympy.polys.domains import QQ_I
+
+    return QQ_I(s.re, s.im)
+
+
+def scalar_from_qqi(g) -> Scalar:
+    """The Scalar of an element of sympy's domain QQ_I."""
+    return Scalar(Fraction(int(g.x.numerator), int(g.x.denominator)),
+                  Fraction(int(g.y.numerator), int(g.y.denominator)))
+
+
+def scalar_from_expr(expr) -> Scalar:
+    """The Gaussian rational value of a sympy expression.
+
+    NotInField unless its real and imaginary parts are Rational once it
+    is cancelled and expanded.
+    """
     import sympy
 
-    re, im = sympy.expand(sympy.sympify(expr)).as_real_imag()
+    re, im = sympy.expand(sympy.cancel(expr)).as_real_imag()
     if not (re.is_Rational and im.is_Rational):
-        raise NotInField(f"non-rational sympy value {expr}")
-    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+        raise NotInField(f"not a Gaussian rational: {expr}")
+    return Scalar(Fraction(int(re.p), int(re.q)),
+                  Fraction(int(im.p), int(im.q)))
 
 
 def jordan_decompose(m: Matrix, hints=None):

@@ -8,6 +8,7 @@ the local operators entry by entry, and re-canonicalize from scratch.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .errors import BadProfile, DegenerateParameter
 from .exactmat import Matrix, Scalar, ZERO, ONE, _coerce
 from .canon import (AClassRun, CanonicalForm, ILOTriple, TensorState,
                     apply_ilo, commuting_pair_canonical, full_rank_reduce)
-from .exactmat import JordanSpec
 from .nilpoly import (TruncPoly, compose, grid_support, mul, reciprocal,
                       shifted_reversion)
 from .symmetry import SymmetryParams, apply_all, matrix_of_params, mobius_2nn
@@ -88,9 +88,7 @@ def gen_canonical(cfg: GenConfig) -> CanonicalForm:
                 row.append(TruncPoly(n1, tuple(coeffs)))
             grid.append(tuple(row))
         runs.append(AClassRun(lam, tuple(sizes), tuple(grid)))
-    spec = JordanSpec(tuple(
-        (run.lam, size) for run in runs for size in run.sizes))
-    return CanonicalForm(spec, tuple(runs))
+    return CanonicalForm(tuple(runs))
 
 
 def gen_params(rng: random.Random, bound: int = 9) -> SymmetryParams:
@@ -293,9 +291,14 @@ TRIAL_SUITES = {
 
 def run_trials(count: int, seed: int = 0, jobs: int = 1,
                trial=symmetry_trial):
+    """Records of count trials in seed order.
+
+    At most min(jobs, count, CPU count) worker processes are started.
+    """
     seeds = [seed * 1_000_003 + i for i in range(count)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(trial, seeds))
     return [trial(s) for s in seeds]
 

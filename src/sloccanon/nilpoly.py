@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from sympy.polys.fields import FracElement
 
-from .errors import (NotInvertible, NotReversible, NotToeplitz,
-                     OrderMismatch, PatternViolation)
+from .errors import (NotInvertible, NotReversible, OrderMismatch,
+                     PatternViolation)
 from .exactmat import Matrix, Scalar, ZERO, _coerce, jordan_block
 
 
@@ -182,24 +182,6 @@ def eval_at_jordan(f: TruncPoly, lam) -> Matrix:
     for c in reversed(f.coeffs):
         acc = acc @ j + Matrix.identity(f.order).scale(c)
     return acc
-
-
-def toeplitz_to_poly(m: Matrix) -> TruncPoly:
-    """Read off f from an upper-triangular Toeplitz matrix."""
-    n = m.rows
-    if m.cols != n:
-        raise NotToeplitz("not square")
-    first = m.row(0)
-    for i in range(n):
-        for j in range(n):
-            expect = first[j - i] if j >= i else ZERO
-            if m[i, j] != expect:
-                raise NotToeplitz(f"entry ({i},{j}) breaks the band pattern")
-    return TruncPoly(n, tuple(first))
-
-
-def poly_to_toeplitz(f: TruncPoly) -> Matrix:
-    return eval_at_jordan(f, ZERO)
 
 
 def grid_support(ni: int, nj: int):

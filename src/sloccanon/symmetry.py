@@ -26,9 +26,10 @@ import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
-from .errors import (DegenerateParameter, NotInvertible, NotReversible,
-                     SingularMatrix, ZeroScale)
-from .exactmat import Matrix, Scalar, ZERO, ONE, _coerce
+from .errors import (DegenerateParameter, NotInField, NotInvertible,
+                     NotReversible, SingularMatrix, ZeroScale)
+from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, scalar_from_expr,
+                       scalar_to_qqi)
 from .canon import CanonicalForm, commuting_pair_canonical
 from .nilpoly import TruncPoly, compose, mul, reciprocal, shifted_reversion
 
@@ -162,25 +163,9 @@ def apply_rescale(cf: CanonicalForm, d2, d3) -> CanonicalForm:
     return _apply_rows(cf, ((ONE, ZERO, ZERO), (d2, ZERO), d3))
 
 
-def apply_all(cf: CanonicalForm, sp: SymmetryParams,
-              order=None) -> CanonicalForm:
-    """Composite map; default is the single factored T of the group.
-
-    An explicit order folds the elementary maps one by one instead, e.g.
-    ("rescale", "JA", "EA", "EJ").
-    """
-    if order is None:
-        return _apply_rows(cf, _row_of_params(sp))
-    steps = {
-        "rescale": lambda c: apply_rescale(c, sp.d2, sp.d3),
-        "JA": lambda c: apply_T_JA(c, sp.z3),
-        "EA": lambda c: apply_T_EA(c, sp.z2),
-        "EJ": lambda c: apply_T_EJ(c, sp.z1),
-    }
-    out = cf
-    for tag in order:
-        out = steps[tag](out)
-    return out
+def apply_all(cf: CanonicalForm, sp: SymmetryParams) -> CanonicalForm:
+    """The group element's map: the single factored T of the group."""
+    return _apply_rows(cf, _row_of_params(sp))
 
 
 def mobius_2nn(lam, t11, t12, t22) -> Scalar:
@@ -211,15 +196,8 @@ class OrbitDecision:
 
 _PIN_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                Fraction(1, 2), Fraction(-2))
-
-
-def _scalar_from_sympy(expr) -> Scalar:
-    e = sympy.expand(sympy.cancel(expr))
-    re, im = e.as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        raise ValueError(f"not a Gaussian rational: {expr}")
-    return Scalar(Fraction(int(re.p), int(re.q)),
-                  Fraction(int(im.p), int(im.q)))
+# pins tried per free family: all of them for up to four free parameters
+_MAX_PINS = len(_PIN_VALUES) ** 4
 
 
 def _params_from_entries(entries):
@@ -259,7 +237,7 @@ def _solve_affine(a: Matrix, rhs):
 
 def _field_element(k, s: Scalar):
     """The Gaussian rational s as a constant of the function field k."""
-    return k(QQ_I(s.re, s.im))
+    return k(scalar_to_qqi(s))
 
 
 def _residual_equations(blocks1, blocks2, entries):
@@ -286,7 +264,7 @@ def _residual_equations(blocks1, blocks2, entries):
     return eqs
 
 
-def _witness_candidates(blocks1, blocks2, max_pins=1296):
+def _witness_candidates(blocks1, blocks2):
     """(candidate params list, open_family flag) for one block matching."""
     a, rhs = _constant_system(blocks1, blocks2)
     sol = _solve_affine(a, rhs)
@@ -319,7 +297,7 @@ def _witness_candidates(blocks1, blocks2, max_pins=1296):
         assignments = [dict(zip(syms, pins)) for pins in
                        itertools.islice(
                            itertools.product(_PIN_VALUES, repeat=len(syms)),
-                           max_pins)]
+                           _MAX_PINS)]
         open_family = True
     else:
         try:
@@ -339,15 +317,15 @@ def _witness_candidates(blocks1, blocks2, max_pins=1296):
             open_family = True
             for pins in itertools.islice(
                     itertools.product(_PIN_VALUES, repeat=len(frees)),
-                    max_pins):
+                    _MAX_PINS):
                 pinned = dict(zip(frees, pins))
                 full = {k: v.subs(pinned) for k, v in s.items()}
                 full.update(pinned)
                 assignments.append(full)
     for assign in assignments:
         try:
-            vals = [_scalar_from_sympy(e.subs(assign)) for e in exprs]
-        except ValueError:
+            vals = [scalar_from_expr(e.subs(assign)) for e in exprs]
+        except NotInField:
             open_family = True
             continue
         sp = _params_from_entries(vals)

@@ -1,24 +1,26 @@
 """Canonicalization pipeline: rank reduction, commuting-pair forms, splits."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import QQ_I
-from sympy.polys.fields import field
+from sympy.polys.rings import ring
 from sympy.polys.matrices import DomainMatrix
 
 from sloccanon import canon
 from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
                              TensorState, _apply_projector,
                              _coefficient_sweep, _completion_matrix,
-                             _fitting_projector, _split_piece, apply_ilo,
+                             _fitting_projector, _mix, _split_piece,
+                             apply_ilo,
                              beta_canonical_check, commuting_pair_canonical,
-                             eigen_shift, full_rank_reduce,
+                             full_rank_reduce,
                              max_rank_combination, nonfull_rank_split,
                              rank_normal_form)
 from sloccanon.errors import (CheckFailed, DimensionMismatch, NoSplitFound,
-                              NotCommuting, NotFullRank, NotInField)
+                              NotCommuting, NotFullRank, PatternViolation)
 from sloccanon.exactmat import (JordanSpec, Matrix, Scalar,
                                 combination_ranks, eigenvalues_in_field,
                                 jordan_block, jordan_matrix)
@@ -237,8 +239,13 @@ def _scalar_beta_check(pf):
 
 
 def _generic_rank(mats, base=None):
-    """Rank of base + sum_j t_j mats[j] over the field Q(i)(t_1, ...)."""
-    k, *ts = field(",".join(f"t{j}" for j in range(len(mats))), QQ_I)
+    """Rank of base + sum_j t_j mats[j] over the field Q(i)(t_1, ...).
+
+    Fraction-free elimination over the integral domain Q(i)[t_1, ...]
+    finds the pivots that elimination over its fraction field finds,
+    with no gcd taken to keep fractions in lowest terms.
+    """
+    k, *ts = ring(",".join(f"t{j}" for j in range(len(mats))), QQ_I)
 
     def lift(s):
         return k(QQ_I(s.re, s.im))
@@ -249,7 +256,9 @@ def _generic_rank(mats, base=None):
         for a in range(n):
             for b in range(n):
                 rows[a][b] += t * lift(m[a, b])
-    return DomainMatrix(rows, (n, n), k.to_domain()).rank()
+    _, _, pivots = DomainMatrix(rows, (n, n), k.to_domain()).rref_den(
+        method="FF")
+    return len(pivots)
 
 
 sweep_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -325,32 +334,49 @@ def test_full_rank_reduce_examples():
     assert out.gammas[0] == Matrix.identity(2)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_mix_is_apply_ilo_with_identity_sides(seed):
+    rng = random.Random(seed)
+    L, n = rng.choice([2, 3]), rng.randint(1, 4)
+
+    def entry():
+        return sc(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                  rng.choice([0, 0, rng.randint(-3, 3)]))
+    while True:
+        t = Matrix(L, L, [entry() for _ in range(L * L)])
+        if t.rank() == L:
+            break
+    gammas = [Matrix(n, n, [entry() for _ in range(n * n)])
+              for _ in range(L)]
+    if all(g.is_zero() for g in gammas):
+        gammas[0] = Matrix.identity(n)
+    psi = TensorState(L, n, tuple(gammas))
+    ident = Matrix.identity(n)
+    assert _mix(t, psi.gammas) == \
+        apply_ilo(psi, ILOTriple(t, ident, ident)).gammas
+
+
+def test_canonical_form_keeps_runs_in_normal_order():
+    cf = CanonicalForm.from_blocks([
+        (sc(0, 1), 2, (sc(1), sc(3))), (sc(-1), 1, (sc(2),)),
+        (sc(0), 1, (sc(4),)), (sc(0), 2, (sc(5), sc(6)))])
+    assert [r.lam for r in cf.runs] == [sc(-1), sc(0), sc(0, 1)]
+    assert cf.runs[1].sizes == (2, 1)
+    assert CanonicalForm(tuple(reversed(cf.runs))) == cf
+    assert cf.spec == JordanSpec(((sc(-1), 1), (sc(0), 2), (sc(0), 1),
+                                  (sc(0, 1), 2)))
+
+
+def test_canonical_form_refuses_two_runs_with_one_eigenvalue():
+    run = CanonicalForm.from_blocks([(sc(5), 1, (sc(2),))]).runs[0]
+    with pytest.raises(PatternViolation):
+        CanonicalForm((run, run))
+
+
 def test_full_rank_reduce_rejects_deficient():
     with pytest.raises(NotFullRank):
         full_rank_reduce(state(Matrix.diagonal([1, 0]),
                                Matrix.diagonal([2, 0])))
-
-
-def test_eigen_shift_examples():
-    out = eigen_shift(state(Matrix.identity(2), Matrix.identity(2)))
-    assert out.gammas[1] == Matrix.zero(2, 2)
-    out = eigen_shift(state(Matrix.identity(2), Matrix.diagonal([2, 3])))
-    assert out.gammas[1] == Matrix.diagonal([0, 1])
-    out = eigen_shift(state(Matrix.identity(2), jordan_block(sc(5), 2)))
-    assert out.gammas[1] == jordan_block(sc(0), 2)
-
-
-def test_eigen_shift_drops_rank():
-    psi = state(Matrix.identity(3), Matrix.diagonal([4, 4, 9]),
-                jordan_block(sc(-1), 3))
-    out = eigen_shift(psi)
-    for g in out.gammas[1:]:
-        assert g.rank() < 3
-
-
-def test_eigen_shift_not_in_field():
-    with pytest.raises(NotInField):
-        eigen_shift(state(Matrix.identity(2), M([[0, -2], [1, 0]])))
 
 
 # -- commuting pair canonical form ------------------------------------------

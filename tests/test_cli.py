@@ -12,6 +12,7 @@ from sloccanon.cli import (canon_from_json, canon_to_json, main, parse_scalar,
                            state_to_json)
 from sloccanon.errors import ParseError
 from sloccanon.exactmat import Matrix, Scalar
+from test_harness import recording_pool  # noqa: F401  (a fixture)
 
 
 def sc(re, im=0):
@@ -169,6 +170,35 @@ def test_canon_file_error_names_its_place_once(tmp_path, capsys, blocks,
     path = write_json(tmp_path / "c.json", {"blocks": blocks})
     assert main(["symmetry-map", path]) == 3
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+# two plain blocks at 1, and a grid run at 5 that obeys the band rule
+PLAIN_AT_ONE = [{"lambda": "1", "size": 2, "coeffs": ["2", "3"]},
+                {"lambda": "1", "size": 1, "coeffs": ["5"]}]
+GRID_AT_FIVE = {"lambda": "5", "sizes": [2, 1],
+                "grid": [[["1", "2"], ["4", "0"]], [["0", "6"], ["3", "0"]]]}
+
+
+def test_canon_file_merges_plain_blocks_beside_a_grid_run(tmp_path, capsys):
+    plain = write_json(tmp_path / "p.json", {"blocks": PLAIN_AT_ONE})
+    mixed = write_json(tmp_path / "m.json",
+                       {"blocks": [GRID_AT_FIVE, *PLAIN_AT_ONE]})
+    assert main(["symmetry-map", plain]) == 0
+    alone = json.loads(capsys.readouterr().out)["blocks"]
+    assert main(["symmetry-map", mixed]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    blocks = json.loads(out.out)["blocks"]
+    assert [b["lambda"] for b in blocks] == ["1", "5"]
+    assert json.dumps(blocks[0], indent=2) == json.dumps(alone[0], indent=2)
+
+
+def test_canon_file_two_grid_runs_with_one_eigenvalue(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json",
+                      {"blocks": [GRID_AT_FIVE, GRID_AT_FIVE]})
+    assert main(["symmetry-map", path]) == 3
+    assert capsys.readouterr().err == \
+        "parse error: canon file: two runs share the eigenvalue 5\n"
 
 
 def test_canon_file_integer_sizes_may_be_strings():
@@ -338,8 +368,8 @@ def test_canonicalize_wrong_factor_root_is_a_check_failure(
         tmp_path, capsys, monkeypatch):
     # the exact cross-check in _field_roots must reject a root that the
     # factorisation got wrong, with a one-line error instead of a traceback
-    real = exactmat._from_sympy
-    monkeypatch.setattr(exactmat, "_from_sympy", lambda e: real(e) + 1)
+    real = exactmat.scalar_from_qqi
+    monkeypatch.setattr(exactmat, "scalar_from_qqi", lambda g: real(g) + 1)
     path = write_json(tmp_path / "s.json", state_obj(
         [["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]]))
     assert main(["canonicalize", path]) == 3
@@ -475,3 +505,18 @@ def test_selftest_single_suite_with_report(tmp_path, capsys):
                for line in report.read_text().splitlines()]
     assert len(records) == 5
     assert all(r["suite"] == "nilpoly" for r in records)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_selftest_refuses_fewer_than_one_job(capsys, jobs):
+    assert main(["selftest", "--profile", "nilpoly", "--count", "2",
+                 f"--jobs={jobs}"]) == 3
+    assert capsys.readouterr().err == \
+        f"parse error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_selftest_jobs_never_exceed_the_trial_count(capsys, recording_pool):
+    assert main(["selftest", "--profile", "nilpoly", "--count", "2",
+                 "--jobs", "100000"]) == 0
+    assert recording_pool.sizes == [2]
+    assert capsys.readouterr().out == "nilpoly: pass=2\nfailures: 0\n"

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 from sympy.polys.fields import field
 
-from sloccanon.errors import NotInvertible, NotReversible, NotToeplitz, OrderMismatch
+from sloccanon.errors import NotInvertible, NotReversible, OrderMismatch
 from sloccanon.exactmat import Matrix, Scalar, jordan_block
 from sloccanon.nilpoly import (TruncPoly, compose, eval_at_jordan, grid_entry_ok,
-                               grid_support, mul, poly_to_toeplitz, reciprocal,
-                               shifted_reversion, toeplitz_to_poly)
+                               grid_support, mul, reciprocal,
+                               shifted_reversion)
 
 
 def sc(re, im=0):
@@ -205,24 +205,6 @@ def test_eval_at_jordan_at_shifted_block():
 def test_eval_at_jordan_is_a_ring_map(f, g):
     assert eval_at_jordan(mul(f, g), 0) == \
         eval_at_jordan(f, 0) @ eval_at_jordan(g, 0)
-
-
-# -- toeplitz conversion ----------------------------------------------------
-
-def test_toeplitz_roundtrip_example():
-    m = eval_at_jordan(tp(2, 3, 0), 0)
-    assert toeplitz_to_poly(m) == tp(2, 3, 0)
-    assert poly_to_toeplitz(tp(2, 3, 0)) == m
-
-
-def test_toeplitz_rejects_non_toeplitz():
-    with pytest.raises(NotToeplitz):
-        toeplitz_to_poly(Matrix.from_rows([[1, 0], [1, 1]]))
-
-
-@given(polys(4))
-def test_toeplitz_roundtrip(f):
-    assert toeplitz_to_poly(poly_to_toeplitz(f)) == f
 
 
 # -- commutant grid support -------------------------------------------------

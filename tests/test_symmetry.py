@@ -121,7 +121,8 @@ def test_composite_matches_elementary_chain(z1, z2, z3, d2, d3):
     cf = single_block(1, 0, 2, 3)
     sp = SymmetryParams(sc(z1), sc(z2), sc(z3), sc(d2), sc(d3))
     try:
-        staged = apply_all(cf, sp, order=("rescale", "JA", "EA", "EJ"))
+        staged = apply_T_EJ(apply_T_EA(apply_T_JA(
+            apply_rescale(cf, sp.d2, sp.d3), sp.z3), sp.z2), sp.z1)
     except DegenerateParameter:
         return
     assert apply_all(cf, sp) == staged
