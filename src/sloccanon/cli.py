@@ -10,7 +10,8 @@ undecided/degenerate, 3 parse or usage error, 4 eigenvalue outside the
 Gaussian rationals, 5 non-commuting reduced pair.  A negative parameter
 is written with "=", as in ``--z2=-1/2``; ``--z2 -1/2`` reads as a
 missing value and exits 3.  ``selftest --jobs K`` starts at most
-min(K, count, CPU count) worker processes; K below 1 exits 3.
+min(K, count, CPU count) worker processes; K below 1 exits 3, and so
+does a count below 1.
 
 canonicalize is deterministic.  On a rank-deficient state its maximal
 rank and the remainder's rank condition are certified, not sampled:
@@ -354,6 +355,8 @@ def cmd_symmetry_map(args) -> int:
 def cmd_selftest(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     suites = list(TRIAL_SUITES) if args.profile == "all" else [args.profile]
     all_records = []
     failures = 0

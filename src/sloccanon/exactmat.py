@@ -17,6 +17,15 @@ Turner and Williams, 1997).  The result is the reduced row echelon form
 times one common denominator.  Because the reduced row echelon form of a
 matrix is unique, rref and everything built on it return exactly what
 Gauss-Jordan elimination in Fractions returns.
+
+Eigenvalues come from the characteristic polynomial F.  Hints are
+tested by exact substitution; the rest of F is searched for roots in
+Q(i) through its norm over Q, A^2 + B^2 for F = A + iB, which sympy
+factors over the rationals (see _field_roots).  Every candidate root is
+checked by exact substitution and division.  sympy factors over the
+Gaussian rationals only when a factor of F has no root in Q(i), to name
+that factor in the NotInField error.  sympy is imported inside the
+functions that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -563,9 +572,10 @@ def eigenvalues_in_field(m: Matrix, hints=None):
     """All eigenvalues of m as Gaussian rationals, with multiplicity.
 
     Hints are candidate eigenvalues verified by exact substitution and
-    deflation.  The residual polynomial is factored exactly over the
-    Gaussian rationals; any irreducible factor of degree > 1 aborts with
-    NotInField.  Result is sorted ascending in the Scalar total order.
+    deflation.  The roots of the rest come from _field_roots; any
+    irreducible factor of degree > 1 over the Gaussian rationals aborts
+    with NotInField.  Result is sorted ascending in the Scalar total
+    order.
     """
     coeffs = list(m.char_poly())
     roots = []
@@ -586,30 +596,83 @@ def eigenvalues_in_field(m: Matrix, hints=None):
 
 
 def _field_roots(coeffs):
-    """Roots in Q(i) of an exact polynomial via sympy factorization.
+    """Roots in Q(i) of an exact polynomial F, read from its norm over Q.
 
-    Returns (roots, residual); residual is None when the polynomial
-    splits completely, else the first irreducible non-linear factor.
+    Returns (roots, residual); residual is None when F splits completely,
+    else the first irreducible non-linear factor of what is left after
+    the roots are divided out, as sympy orders the factors over QQ_I.
+
+    Write F = A + iB with A, B in Q[x].  Its norm N is A when B = 0 and
+    A^2 + B^2 = F * conj(F) otherwise; either way N lies in Q[x] and is
+    factored over Q (Trager, SYMSAC 1976).  Every root of F in Q(i) is a
+    candidate read from that factorisation: a root r = a + bi of F makes
+    conj(r) a root of conj(F), so (x - r)(x - conj(r)) divides N.  For
+    b = 0 that is (x - a)^2, and x - a is a linear factor of N; for
+    b != 0 it is x^2 - 2ax + a^2 + b^2, irreducible over Q, so up to a
+    constant it is a quadratic factor c2 x^2 + c1 x + c0 of N, and
+    q = 4 c2 c0 - c1^2 = 4 c2^2 b^2 is a positive rational square, which
+    gives back a +- bi = (-c1 +- i sqrt(q)) / (2 c2).  No candidate is
+    trusted: each is tested by exact substitution and divided out as
+    often as it is a root.  Whatever is left has no root in Q(i), and
+    only then is it factored over QQ_I, to name the residual factor; a
+    linear factor there is a root the candidates missed, CheckFailed.
     """
+    rem = list(coeffs)
+    roots = []
+    for r in _norm_candidates(coeffs):
+        while len(rem) > 1 and poly_eval(rem, r).is_zero():
+            rem = poly_deflate(rem, r)
+            roots.append(r)
+    if len(rem) == 1:
+        return roots, None
     import sympy
     from sympy.polys.domains import QQ_I
 
-    poly = sympy.Poly([scalar_to_qqi(c) for c in reversed(coeffs)],
+    poly = sympy.Poly([scalar_to_qqi(c) for c in reversed(rem)],
                       sympy.Symbol("x"), domain=QQ_I)
-    roots = []
-    residual = None
-    for factor, mult in poly.factor_list()[1]:
-        if factor.degree() == 1:
-            a1, a0 = factor.rep.to_list()
-            roots.extend([scalar_from_qqi(-a0 / a1)] * mult)
-        elif residual is None:
-            residual = tuple(scalar_from_qqi(c)
-                             for c in reversed(factor.rep.to_list()))
-    # exact double check against our own arithmetic
-    rem = list(coeffs)
-    for r in [] if residual is not None else roots:
-        rem = poly_deflate(rem, r)
-    return roots, residual
+    # sympy lists the factors by degree, so a linear one comes first
+    first = poly.factor_list()[1][0][0].rep.to_list()
+    if len(first) == 2:
+        raise CheckFailed(
+            f"{scalar_from_qqi(-first[1] / first[0])} is a root in Q(i) "
+            "that the norm over Q did not give")
+    return roots, tuple(scalar_from_qqi(c) for c in reversed(first))
+
+
+def _norm_candidates(coeffs):
+    """The candidate roots in Q(i) of F from its norm N (see _field_roots).
+
+    A linear factor of N gives its root; a quadratic c2 x^2 + c1 x + c0
+    with q = 4 c2 c0 - c1^2 a positive rational square gives the pair
+    (-c1 +- i sqrt(q)) / (2 c2); other factors give none.
+    """
+    import sympy
+    from sympy.polys.domains import QQ
+
+    def part(values):
+        return sympy.Poly([QQ(v.numerator, v.denominator)
+                           for v in reversed(values)],
+                          sympy.Symbol("x"), domain=QQ)
+
+    norm = part([c.re for c in coeffs])
+    if any(c.im for c in coeffs):
+        norm = norm ** 2 + part([c.im for c in coeffs]) ** 2
+    out = []
+    for factor, _ in norm.factor_list()[1]:
+        cs = [Fraction(int(c.numerator), int(c.denominator))
+              for c in factor.rep.to_list()]
+        if len(cs) == 2:
+            out.append(Scalar(-cs[1] / cs[0], Fraction(0)))
+        elif len(cs) == 3:
+            c2, c1, c0 = cs
+            q = 4 * c2 * c0 - c1 * c1
+            if q <= 0:
+                continue
+            num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+            if num * num == q.numerator and den * den == q.denominator:
+                re, im = -c1 / (2 * c2), Fraction(num, den) / (2 * c2)
+                out.extend([Scalar(re, im), Scalar(re, -im)])
+    return out
 
 
 def scalar_to_qqi(s: Scalar):

@@ -23,9 +23,8 @@ the series operations work over the Gaussian rationals only.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-
-from sympy.polys.fields import FracElement
 
 from .errors import (NotInvertible, NotReversible, OrderMismatch,
                      PatternViolation)
@@ -33,8 +32,18 @@ from .exactmat import Matrix, Scalar, ZERO, _coerce, jordan_block
 
 
 def _coefficient(c):
-    """c in one of the supported fields; int and Fraction become Scalars."""
-    return c if isinstance(c, (Scalar, FracElement)) else _coerce(c)
+    """c in one of the supported fields; int and Fraction become Scalars.
+
+    A rational-function field element can exist only once sympy's
+    ``polys.fields`` is loaded, so it is looked up there and never
+    imported here.
+    """
+    if isinstance(c, Scalar):
+        return c
+    fields = sys.modules.get("sympy.polys.fields")
+    if fields is not None and isinstance(c, fields.FracElement):
+        return c
+    return _coerce(c)
 
 
 def _zero(c):

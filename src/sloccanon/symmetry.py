@@ -22,10 +22,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-from sympy.polys.domains import QQ_I
-from sympy.polys.fields import field
-
 from .errors import (DegenerateParameter, NotInField, NotInvertible,
                      NotReversible, SingularMatrix, ZeroScale)
 from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, scalar_from_expr,
@@ -274,6 +270,10 @@ def _witness_candidates(blocks1, blocks2):
     if not basis:
         sp = _params_from_entries(particular)
         return ([sp] if sp else []), False
+    import sympy
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.fields import field
+
     syms = sympy.symbols(f"s0:{len(basis)}")
     k, *gens = field(syms, QQ_I)
     entries = []

@@ -1,10 +1,15 @@
 """Command-line interface: parsing, file formats, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sloccanon
 from sloccanon import exactmat
 from sloccanon.canon import CanonicalForm
 from sloccanon.cli import (canon_from_json, canon_to_json, main, parse_scalar,
@@ -366,16 +371,68 @@ def test_canonicalize_exit_codes(tmp_path, capsys):
 
 def test_canonicalize_wrong_factor_root_is_a_check_failure(
         tmp_path, capsys, monkeypatch):
-    # the exact cross-check in _field_roots must reject a root that the
-    # factorisation got wrong, with a one-line error instead of a traceback
-    real = exactmat.scalar_from_qqi
-    monkeypatch.setattr(exactmat, "scalar_from_qqi", lambda g: real(g) + 1)
+    # the exact cross-check in _field_roots must catch a root that the
+    # norm's candidates got wrong, with a one-line error instead of a
+    # traceback: shifted candidates are no roots, and the factorisation
+    # over Q(i) of what is left finds the linear factors they missed
+    real = exactmat._norm_candidates
+    monkeypatch.setattr(exactmat, "_norm_candidates",
+                        lambda coeffs: [r + 1 for r in real(coeffs)])
     path = write_json(tmp_path / "s.json", state_obj(
         [["1", "0"], ["0", "1"]], [["5", "0"], ["0", "7"]]))
     assert main(["canonicalize", path]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "is not a root" in err
+    assert err.startswith("error: ") and "norm over Q did not give" in err
     assert err.count("\n") == 1
+
+
+def _companion(constant_first):
+    """Companion matrix (as strings) of the monic polynomial given."""
+    n = len(constant_first)
+    return [["1" if i == j + 1 else "0" for j in range(n - 1)]
+            + [str(-constant_first[i])] for i in range(n)]
+
+
+def _eye(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _block_diag_strings(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [["0"] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+# exit 4 lines, recorded before the roots came from the norm over Q: the
+# spectrum of the second slot leaves Q(i) through x^3 - 3 (real),
+# x^2 + ix + 1 (complex coefficients), and x^2 - 2 beside x^3 - 3 and the
+# roots 1/2 and i (mixed; the quadratic is the factor named)
+NOT_IN_FIELD_GOLDEN = {
+    "real": (_companion([-3, 0, 0]), 3),
+    "complex": ([["0", "-1"], ["1", "-1i"]], 2),
+    "mixed": (_block_diag_strings([["1/2"]], [["1i"]],
+                                  _companion([-3, 0, 0]),
+                                  _companion([-2, 0])), 2),
+}
+
+
+@pytest.mark.parametrize("pencil,degree", NOT_IN_FIELD_GOLDEN.values(),
+                         ids=NOT_IN_FIELD_GOLDEN)
+def test_canonicalize_not_in_field_golden_line(tmp_path, capsys, pencil,
+                                               degree):
+    path = write_json(tmp_path / "s.json",
+                      state_obj(_eye(len(pencil)), pencil))
+    assert main(["canonicalize", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not in field: characteristic polynomial has an irreducible "
+        f"factor of degree {degree} over the Gaussian rationals\n")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -515,8 +572,45 @@ def test_selftest_refuses_fewer_than_one_job(capsys, jobs):
         f"parse error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_selftest_refuses_fewer_than_one_trial(capsys, count):
+    # a self-test that ran nothing must not read as a pass
+    assert main(["selftest", "--profile", "nilpoly",
+                 f"--count={count}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"parse error: --count must be at least 1, got {count}\n"
+
+
 def test_selftest_jobs_never_exceed_the_trial_count(capsys, recording_pool):
     assert main(["selftest", "--profile", "nilpoly", "--count", "2",
                  "--jobs", "100000"]) == 0
     assert recording_pool.sizes == [2]
     assert capsys.readouterr().out == "nilpoly: pass=2\nfailures: 0\n"
+
+
+# -- start-up -----------------------------------------------------------------
+
+def test_closed_form_commands_do_not_load_sympy(tmp_path):
+    # sympy is imported where it is used, so importing the CLI, a
+    # closed-form symmetry map and equiv of a form with itself never load
+    # it; a fresh interpreter is the only place to see that
+    canon = write_json(tmp_path / "c.json", {"blocks": [
+        {"lambda": "1", "size": 2, "coeffs": ["2", "3"]},
+        {"lambda": "3", "size": 1, "coeffs": ["5"]}]})
+    code = "\n".join([
+        "import sys",
+        "from sloccanon.cli import main",
+        "loaded = ['sympy' in sys.modules]",
+        f"assert main(['symmetry-map', {canon!r}, '--z1', '1/2']) == 0",
+        "loaded.append('sympy' in sys.modules)",
+        f"assert main(['equiv', {canon!r}, {canon!r}]) == 0",
+        "loaded.append('sympy' in sys.modules)",
+        "print(loaded)"])
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(sloccanon.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[False, False, False]"

@@ -288,6 +288,63 @@ def test_eigenvalues_not_in_field_reports_residual():
     assert len(exc.value.residual) == 3
 
 
+# Planted roots: real, pure imaginary and complex, with denominators up
+# to 5, and 0 and +-i by name.
+root_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+planted_roots = st.one_of(
+    st.sampled_from([sc(0), sc(0, 1), sc(0, -1)]),
+    st.builds(sc, root_fractions),
+    st.builds(lambda b: sc(0, b), root_fractions),
+    st.builds(Scalar, root_fractions, root_fractions))
+# irreducible over Q(i), constant first: x^2 - 2, x^2 + ix + 1, x^2 - i,
+# x^3 - 3
+IRREDUCIBLE = [(sc(-2), sc(0), sc(1)), (sc(1), sc(0, 1), sc(1)),
+               (sc(0, -1), sc(0), sc(1)), (sc(-3), sc(0), sc(0), sc(1))]
+
+
+def _poly_mul(f, g):
+    out = [sc(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _first_nonlinear_factor(coeffs):
+    """The reference residual: sympy's factor list over QQ_I, in full."""
+    import sympy
+    from sympy.polys.domains import QQ_I
+
+    poly = sympy.Poly([QQ_I(c.re, c.im) for c in reversed(coeffs)],
+                      sympy.Symbol("x"), domain=QQ_I)
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() > 1:
+            return tuple(exactmat.scalar_from_qqi(c)
+                         for c in reversed(factor.rep.to_list()))
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted_roots, min_size=1, max_size=4), st.booleans(),
+       st.integers(0, 2), st.lists(st.sampled_from(IRREDUCIBLE), max_size=2),
+       st.sampled_from([sc(1), sc(-3), sc(Fraction(2, 5)), sc(1, -2)]))
+def test_field_roots_recover_planted_roots(roots, conjugates, repeats,
+                                           extras, lead):
+    if conjugates:
+        roots = roots + [sc(r.re, -r.im) for r in roots]
+    roots = roots + roots[:repeats]
+    poly = [lead]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, sc(1)])
+    for f in extras:
+        poly = _poly_mul(poly, list(f))
+    found, residual = exactmat._field_roots(poly)
+    assert sorted(found, key=Scalar.sort_key) == \
+        sorted(roots, key=Scalar.sort_key)
+    # without extras the product splits, and the reference is not needed
+    assert residual == (_first_nonlinear_factor(poly) if extras else None)
+
+
 # -- jordan decomposition ---------------------------------------------------
 
 def test_jordan_examples():
