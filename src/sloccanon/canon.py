@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
                      NotCommuting, NotFullRank, NotInField, PatternViolation)
-from .exactmat import (Matrix, Scalar, JordanSpec, ZERO, ONE, _coerce,
+from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce,
                        combination_ranks, eigenvalues_in_field,
                        jordan_matrix, jordan_decompose)
 from .nilpoly import (TruncPoly, check_commutant_grid,
@@ -104,10 +104,9 @@ class CanonicalForm:
         object.__setattr__(self, "runs", runs)
 
     @property
-    def spec(self) -> JordanSpec:
-        """J's normalized block list."""
-        return JordanSpec(tuple((r.lam, size) for r in self.runs
-                                for size in r.sizes))
+    def blocks(self) -> tuple:
+        """J's (eigenvalue, size) blocks in the normal order."""
+        return tuple((r.lam, size) for r in self.runs for size in r.sizes)
 
     @property
     def dim(self) -> int:
@@ -118,7 +117,7 @@ class CanonicalForm:
 
     def assemble(self):
         """Explicit (J, A) matrices."""
-        j = jordan_matrix(self.spec)
+        j = jordan_matrix(self.blocks)
         a = Matrix.block_diag([
             poly_matrix_to_commutant(r.grid, r.sizes) for r in self.runs])
         return j, a
@@ -128,7 +127,7 @@ class CanonicalForm:
         return TensorState(3, self.dim, (Matrix.identity(self.dim), j, a))
 
     def block_data(self):
-        """Per-block diagonal data [(lam, size, coeffs)] in spec order."""
+        """Per-block diagonal data [(lam, size, coeffs)] in block order."""
         out = []
         for run in self.runs:
             for i, size in enumerate(run.sizes):
@@ -299,10 +298,11 @@ def commuting_pair_canonical(a2: Matrix, a3: Matrix, hints=None):
         raise DimensionMismatch("pair must be square and equally sized")
     if not (a2 @ a3 - a3 @ a2).is_zero():
         raise NotCommuting("slots two and three do not commute")
-    s, spec = jordan_decompose(a2, hints)
+    s, blocks = jordan_decompose(a2, hints)
     b = s.inverse() @ a3 @ s
     runs, offset = [], 0
-    for lam, sizes in spec.runs():
+    for lam, run in itertools.groupby(blocks, key=lambda blk: blk[0]):
+        sizes = tuple(size for _, size in run)
         # block (i, j) of the run starts at row starts[i], column starts[j]
         starts = [offset + sum(sizes[:k]) for k in range(len(sizes))]
         grid = [[TruncPoly(sizes[0], tuple(
@@ -335,15 +335,11 @@ def rank_normal_form(m: Matrix):
     # [m | I] that fall in m's columns
     pivots = [c for c in aug_pivots if c < n_cols]
     r = len(pivots)
-    order = pivots + [c for c in range(n_cols) if c not in pivots]
-    perm = Matrix.from_rows([[ONE if order[j] == i else ZERO
-                              for j in range(n_cols)]
-                             for i in range(n_cols)])
-    x2 = x @ perm
-    clear = [[-x2[i, j] if (j >= r and i < r) else
-              (ONE if i == j else ZERO)
-              for j in range(n_cols)] for i in range(n_cols)]
-    q = perm @ Matrix.from_rows(clear)
+    # x takes the unit vector at its k-th pivot to e_k and its nullspace
+    # to zero, so x @ q = diag(I_r, 0)
+    q = Matrix.from_columns(
+        [[ONE if i == c else ZERO for i in range(n_cols)] for c in pivots]
+        + x.nullspace())
     expected = Matrix.from_rows([[ONE if (i == j and i < r) else ZERO
                                   for j in range(n_cols)]
                                  for i in range(n_rows)])

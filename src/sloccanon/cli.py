@@ -7,7 +7,8 @@ round trips are byte-identical.
 
 Exit codes: 0 success/equivalent, 1 fail/inequivalent, 2
 undecided/degenerate, 3 parse or usage error, 4 eigenvalue outside the
-Gaussian rationals, 5 non-commuting reduced pair.  A negative parameter
+Gaussian rationals, 5 non-commuting reduced pair, 6 internal error (an
+unexpected exception, reported in one line).  A negative parameter
 is written with "=", as in ``--z2=-1/2``; ``--z2 -1/2`` reads as a
 missing value and exits 3.  ``selftest --jobs K`` starts at most
 min(K, count, CPU count) worker processes; K below 1 exits 3, and so
@@ -45,6 +46,7 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
 EXIT_NOT_IN_FIELD = 4
 EXIT_NOT_COMMUTING = 5
+EXIT_INTERNAL = 6
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def cmd_canonicalize(args) -> int:
         "max_rank": {"coefficients": [scalar_to_json(c) for c in t],
                      "rank": r},
         "jordan": [[scalar_to_json(lam), size]
-                   for lam, size in cf.spec.blocks],
+                   for lam, size in cf.blocks],
         "commuting": True,
         "canonical": canon_to_json(cf),
     }
@@ -312,7 +314,7 @@ def cmd_canonicalize(args) -> int:
                  + ", ".join(str(c) for c in t),
                  "jordan blocks: "
                  + ", ".join(f"(lambda={lam}, size={size})"
-                             for lam, size in cf.spec.blocks)]
+                             for lam, size in cf.blocks)]
         _emit("\n".join(lines) + "\n" + _dump(canon_to_json(cf)),
               args.output)
     return EXIT_OK
@@ -442,9 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -461,6 +466,11 @@ def main(argv=None) -> int:
     except SloccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        # a crash must not read as exit 1, "inequivalent"
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -508,64 +508,15 @@ def poly_deflate(coeffs, root: Scalar):
 # Jordan structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JordanSpec:
-    """Ordered Jordan block list [(eigenvalue, size), ...].
-
-    Normalized: eigenvalues ascending in the Scalar total order, blocks
-    with equal eigenvalue adjacent with non-increasing sizes.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(
-            (lam, int(size)) for lam, size in self.blocks))
-
-    @property
-    def dim(self) -> int:
-        return sum(size for _, size in self.blocks)
-
-    def normalized(self) -> "JordanSpec":
-        groups = {}
-        order = []
-        for lam, size in self.blocks:
-            key = lam.sort_key()
-            if key not in groups:
-                groups[key] = (lam, [])
-                order.append(key)
-            groups[key][1].append(size)
-        out = []
-        for key in sorted(groups):
-            lam, sizes = groups[key]
-            out.extend((lam, s) for s in sorted(sizes, reverse=True))
-        return JordanSpec(tuple(out))
-
-    def is_normalized(self) -> bool:
-        return self == self.normalized()
-
-    def runs(self):
-        """Group adjacent equal-eigenvalue blocks: [(lam, [sizes])]."""
-        out = []
-        for lam, size in self.blocks:
-            if out and out[-1][0] == lam:
-                out[-1][1].append(size)
-            else:
-                out.append((lam, [size]))
-        return [(lam, tuple(sizes)) for lam, sizes in out]
-
-    def size_multiset(self):
-        return tuple(sorted(size for _, size in self.blocks))
-
-
 def jordan_block(lam: Scalar, n: int) -> Matrix:
     return Matrix.from_rows(
         [[lam if i == j else (ONE if j == i + 1 else ZERO)
           for j in range(n)] for i in range(n)])
 
 
-def jordan_matrix(spec: JordanSpec) -> Matrix:
-    return Matrix.block_diag([jordan_block(lam, n) for lam, n in spec.blocks])
+def jordan_matrix(blocks) -> Matrix:
+    """The direct sum of the Jordan blocks J_size(lam) of [(lam, size)]."""
+    return Matrix.block_diag([jordan_block(lam, n) for lam, n in blocks])
 
 
 def eigenvalues_in_field(m: Matrix, hints=None):
@@ -706,9 +657,12 @@ def scalar_from_expr(expr) -> Scalar:
 def jordan_decompose(m: Matrix, hints=None):
     """Exact Jordan decomposition with similarity witness.
 
-    Returns (s, spec) with s invertible and s^-1 @ m @ s equal to
-    jordan_matrix(spec) exactly.  Chain vectors are chosen by lowest-index
-    pivots so the output is deterministic; spec comes out normalized.
+    Returns (s, blocks) with s invertible and s^-1 @ m @ s equal to
+    jordan_matrix(blocks) exactly.  blocks is a tuple of (eigenvalue,
+    size) pairs in the normal order: eigenvalues ascending in the Scalar
+    total order, and the blocks of one eigenvalue largest first.  Chain
+    vectors are chosen by lowest-index pivots so the output is
+    deterministic.
     The chain tops of height k are the kernel vectors of (m - lam)^k that
     are pivot columns after the kernel of (m - lam)^(k-1) and the images
     of the longer chains, so each one lies outside the span of all the
@@ -748,13 +702,12 @@ def jordan_decompose(m: Matrix, hints=None):
             for j in range(h - 1, -1, -1):
                 columns.append(_apply(powers[j], v))
             blocks.append((lam, h))
-    spec = JordanSpec(tuple(blocks))
     s = Matrix.from_columns(columns)
-    if not spec.is_normalized():
-        raise CheckFailed(f"Jordan spec is not normalized: {spec}")
-    if s.rank() != n or m @ s != s @ jordan_matrix(spec):
+    if blocks != sorted(blocks, key=lambda b: (b[0].sort_key(), -b[1])):
+        raise CheckFailed(f"Jordan blocks out of the normal order: {blocks}")
+    if s.rank() != n or m @ s != s @ jordan_matrix(blocks):
         raise CheckFailed("s is not a Jordan basis of m")
-    return s, spec
+    return s, tuple(blocks)
 
 
 def _apply(mat: Matrix, vec):
@@ -773,20 +726,20 @@ def _dot(xs, ys) -> Scalar:
     return acc
 
 
-def commutant_basis(spec: JordanSpec):
-    """Explicit basis of {M : [M, J] = 0} for J = jordan_matrix(spec).
+def commutant_basis(blocks):
+    """Explicit basis of {M : [M, J] = 0} for J = jordan_matrix(blocks).
 
     One Toeplitz band family per ordered pair of blocks with equal
     eigenvalue: for an n_i x n_j intertwining block the allowed diagonal
     offsets are max(0, n_j - n_i) .. n_j - 1, giving min(n_i, n_j) basis
     elements; nothing couples distinct eigenvalues.
     """
-    sizes = [size for _, size in spec.blocks]
+    sizes = [size for _, size in blocks]
     offsets = [sum(sizes[:k]) for k in range(len(sizes))]
-    dim = spec.dim
+    dim = sum(sizes)
     basis = []
-    for bi, (lam_i, ni) in enumerate(spec.blocks):
-        for bj, (lam_j, nj) in enumerate(spec.blocks):
+    for bi, (lam_i, ni) in enumerate(blocks):
+        for bj, (lam_j, nj) in enumerate(blocks):
             if lam_i != lam_j:
                 continue
             for d in range(max(0, nj - ni), nj):

@@ -23,15 +23,21 @@ from .nilpoly import (TruncPoly, compose, grid_support, mul, reciprocal,
 from .symmetry import SymmetryParams, apply_all, matrix_of_params, mobius_2nn
 
 
+# random fractions have numerators in [-BOUND, BOUND] and denominators in
+# [1, BOUND]; a random scalar is complex with probability IMAGINARY_RATE
+BOUND = 9
+IMAGINARY_RATE = 0.2
+# parameter draws a trial makes before it reports "degenerate"
+MAX_REDRAWS = 20
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Deterministic generation parameters; same seed, same artifacts."""
 
     seed: int
     N: int
-    L: int = 3
     block_profile: tuple = ()
-    coefficient_bound: int = 9
 
     def __post_init__(self):
         profile = tuple((_coerce(lam), int(size))
@@ -39,19 +45,14 @@ class GenConfig:
         object.__setattr__(self, "block_profile", profile)
 
 
-def _rand_fraction(rng: random.Random, bound: int,
-                   allow_zero: bool = True) -> Fraction:
-    while True:
-        f = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        if allow_zero or f != 0:
-            return f
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
 
 
-def _rand_scalar(rng: random.Random, bound: int, allow_zero: bool = True,
-                 imaginary_rate: float = 0.2) -> Scalar:
+def _rand_scalar(rng: random.Random, allow_zero: bool = True) -> Scalar:
     while True:
-        re = _rand_fraction(rng, bound)
-        im = _rand_fraction(rng, bound) if rng.random() < imaginary_rate \
+        re = _rand_fraction(rng)
+        im = _rand_fraction(rng) if rng.random() < IMAGINARY_RATE \
             else Fraction(0)
         s = Scalar(re, im)
         if allow_zero or not s.is_zero():
@@ -84,48 +85,46 @@ def gen_canonical(cfg: GenConfig) -> CanonicalForm:
                     # planted spectrum at the diagonal constants
                     if k == 0 and i != j and ni == nj:
                         continue
-                    coeffs[k] = _rand_scalar(rng, cfg.coefficient_bound)
+                    coeffs[k] = _rand_scalar(rng)
                 row.append(TruncPoly(n1, tuple(coeffs)))
             grid.append(tuple(row))
         runs.append(AClassRun(lam, tuple(sizes), tuple(grid)))
     return CanonicalForm(tuple(runs))
 
 
-def gen_params(rng: random.Random, bound: int = 9) -> SymmetryParams:
+def gen_params(rng: random.Random) -> SymmetryParams:
     return SymmetryParams(
-        _rand_scalar(rng, bound), _rand_scalar(rng, bound),
-        _rand_scalar(rng, bound),
-        _rand_scalar(rng, bound, allow_zero=False),
-        _rand_scalar(rng, bound, allow_zero=False))
+        _rand_scalar(rng), _rand_scalar(rng), _rand_scalar(rng),
+        _rand_scalar(rng, allow_zero=False),
+        _rand_scalar(rng, allow_zero=False))
 
 
-def _rand_invertible(rng: random.Random, n: int, bound: int) -> Matrix:
+def _rand_invertible(rng: random.Random, n: int) -> Matrix:
     while True:
-        m = Matrix.from_rows([[_rand_scalar(rng, bound) for _ in range(n)]
+        m = Matrix.from_rows([[_rand_scalar(rng) for _ in range(n)]
                               for _ in range(n)])
         if m.rank() == n:
             return m
 
 
 def gen_ilo(cfg: GenConfig, family: str = "general") -> ILOTriple:
-    """Random invertible triple; the T factor may be constrained."""
+    """Random invertible triple on three slots; T may be constrained."""
     rng = random.Random(cfg.seed)
     if family == "general":
-        t = _rand_invertible(rng, cfg.L, cfg.coefficient_bound)
+        t = _rand_invertible(rng, 3)
     elif family == "upper_unitriangular_T":
         rows = []
-        for i in range(cfg.L):
-            row = [ZERO] * cfg.L
-            row[i] = ONE if i == 0 else _rand_scalar(
-                rng, cfg.coefficient_bound, allow_zero=False)
-            for j in range(i + 1, cfg.L):
-                row[j] = _rand_scalar(rng, cfg.coefficient_bound)
+        for i in range(3):
+            row = [ZERO] * 3
+            row[i] = ONE if i == 0 else _rand_scalar(rng, allow_zero=False)
+            for j in range(i + 1, 3):
+                row[j] = _rand_scalar(rng)
             rows.append(row)
         t = Matrix.from_rows(rows)
     else:
         raise BadProfile(f"unknown ILO family: {family}")
-    p = _rand_invertible(rng, cfg.N, cfg.coefficient_bound)
-    q = _rand_invertible(rng, cfg.N, cfg.coefficient_bound)
+    p = _rand_invertible(rng, cfg.N)
+    q = _rand_invertible(rng, cfg.N)
     return ILOTriple(t, p, q)
 
 
@@ -156,31 +155,30 @@ SIZE_PATTERNS = (
 )
 
 
-def _profile_for(rng: random.Random, pattern, bound: int):
+def _profile_for(rng: random.Random, pattern):
     """Assign distinct eigenvalues to the pattern's runs."""
     lams = []
     while len(lams) < len(pattern):
-        lam = _rand_scalar(rng, bound)
+        lam = _rand_scalar(rng)
         if lam not in lams:
             lams.append(lam)
     return tuple((lam, size) for lam, run in zip(lams, pattern)
                  for size in run)
 
 
-def symmetry_trial(seed: int, bound: int = 9, max_redraws: int = 20) -> dict:
+def symmetry_trial(seed: int) -> dict:
     """One oracle-equivalence trial: apply_all vs explicit matrices."""
     rng = random.Random(seed)
     pattern = SIZE_PATTERNS[rng.randrange(len(SIZE_PATTERNS))]
-    profile = _profile_for(rng, pattern, bound)
+    profile = _profile_for(rng, pattern)
     n = sum(size for _, size in profile)
     cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile,
-                                 coefficient_bound=bound))
+                                 block_profile=profile))
     redraws = 0
     record = {"seed": seed, "profile": [[str(lam), size]
                                         for lam, size in profile]}
     while True:
-        sp = gen_params(rng, bound)
+        sp = gen_params(rng)
         if cf.is_derogatory() and redraws >= 5:
             # coupled derogatory grids generically change Jordan stratum
             # whenever the third slot mixes into the others; keep sampling
@@ -191,7 +189,7 @@ def symmetry_trial(seed: int, bound: int = 9, max_redraws: int = 20) -> dict:
             break
         except DegenerateParameter:
             redraws += 1
-            if redraws > max_redraws:
+            if redraws > MAX_REDRAWS:
                 record.update(verdict="degenerate", redraws=redraws)
                 return record
     ops = ILOTriple(matrix_of_params(sp), Matrix.identity(n),
@@ -203,33 +201,32 @@ def symmetry_trial(seed: int, bound: int = 9, max_redraws: int = 20) -> dict:
     return record
 
 
-def mobius_trial(seed: int, bound: int = 9) -> dict:
+def mobius_trial(seed: int) -> dict:
     """2 x N x N law: upper-triangular T acts on eigenvalues as a Mobius map."""
     rng = random.Random(seed)
     k = rng.randint(1, 3)
     lams, sizes = [], []
     while len(lams) < k:
-        lam = _rand_scalar(rng, bound)
+        lam = _rand_scalar(rng)
         if lam not in lams:
             lams.append(lam)
             sizes.append(rng.randint(1, 4))
     n = sum(sizes)
     profile = tuple(zip(lams, sizes))
     cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile,
-                                 coefficient_bound=bound))
+                                 block_profile=profile))
     j = cf.assemble()[0]
     record = {"seed": seed, "profile": [[str(lam), size]
                                         for lam, size in profile]}
     redraws = 0
     while True:
-        t11 = _rand_scalar(rng, bound, allow_zero=False)
-        t12 = _rand_scalar(rng, bound)
-        t22 = _rand_scalar(rng, bound, allow_zero=False)
+        t11 = _rand_scalar(rng, allow_zero=False)
+        t12 = _rand_scalar(rng)
+        t22 = _rand_scalar(rng, allow_zero=False)
         if all(not (t11 + t12 * lam).is_zero() for lam in lams):
             break
         redraws += 1
-        if redraws > 20:
+        if redraws > MAX_REDRAWS:
             record.update(verdict="degenerate", redraws=redraws)
             return record
     e = Matrix.identity(n)
@@ -243,18 +240,18 @@ def mobius_trial(seed: int, bound: int = 9) -> dict:
     out, _ = commuting_pair_canonical(reduced.gammas[1], Matrix.zero(n, n),
                                       hints=[lam for lam, _ in expected])
     record.update(
-        verdict="pass" if list(out.spec.blocks) == expected else "fail",
+        verdict="pass" if list(out.blocks) == expected else "fail",
         redraws=redraws)
     return record
 
 
-def nilpoly_trial(seed: int, bound: int = 9) -> dict:
+def nilpoly_trial(seed: int) -> dict:
     """Reciprocal and reversion round trips on a random polynomial."""
     rng = random.Random(seed)
     order = rng.randint(2, 6)
-    coeffs = [_rand_scalar(rng, bound, allow_zero=False)] + \
-             [_rand_scalar(rng, bound, allow_zero=False)] + \
-             [_rand_scalar(rng, bound) for _ in range(order - 2)]
+    coeffs = [_rand_scalar(rng, allow_zero=False)] + \
+             [_rand_scalar(rng, allow_zero=False)] + \
+             [_rand_scalar(rng) for _ in range(order - 2)]
     f = TruncPoly(order, tuple(coeffs))
     one = TruncPoly.constant(1, order)
     ok = mul(f, reciprocal(f)) == one
@@ -266,15 +263,14 @@ def nilpoly_trial(seed: int, bound: int = 9) -> dict:
             "verdict": "pass" if ok else "fail", "redraws": 0}
 
 
-def roundtrip_trial(seed: int, bound: int = 9) -> dict:
+def roundtrip_trial(seed: int) -> dict:
     """Identity operators must re-canonicalize to the very same form."""
     rng = random.Random(seed)
     pattern = SIZE_PATTERNS[rng.randrange(len(SIZE_PATTERNS))]
-    profile = _profile_for(rng, pattern, bound)
+    profile = _profile_for(rng, pattern)
     n = sum(size for _, size in profile)
     cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile,
-                                 coefficient_bound=bound))
+                                 block_profile=profile))
     ok = oracle_recanonicalize(cf, ILOTriple.identity(3, n)) == cf
     return {"seed": seed, "profile": [[str(lam), size]
                                       for lam, size in profile],

@@ -128,7 +128,7 @@ def _matrix_route(cf: CanonicalForm, trow, hints=None) -> CanonicalForm:
     pair_j = p @ (j.scale(t22) + a.scale(t23))
     pair_a = p @ a.scale(t33)
     out, _ = commuting_pair_canonical(pair_j, pair_a, hints=hints)
-    if out.spec.size_multiset() != cf.spec.size_multiset():
+    if sorted(s for _, s in out.blocks) != sorted(s for _, s in cf.blocks):
         raise DegenerateParameter("Jordan block structure changed")
     return out
 
@@ -293,35 +293,31 @@ def _witness_candidates(blocks1, blocks2):
         return [], False
     exprs = [e.as_expr() for e in entries]
     candidates, open_family = [], False
-    if not eqs:
-        assignments = [dict(zip(syms, pins)) for pins in
-                       itertools.islice(
-                           itertools.product(_PIN_VALUES, repeat=len(syms)),
-                           _MAX_PINS)]
-        open_family = True
-    else:
+    # with no equation the whole family is one solution, all of it free
+    sols = [{}]
+    if eqs:
         try:
             sols = sympy.solve(eqs, list(syms), dict=True)
         except Exception:
             return [], True
-        assignments = []
-        for s in sols:
-            frees = set()
-            for v in s.values():
-                frees |= v.free_symbols
-            frees |= set(syms) - set(s.keys())
-            frees = sorted(frees, key=str)
-            if not frees:
-                assignments.append(s)
-                continue
-            open_family = True
-            for pins in itertools.islice(
-                    itertools.product(_PIN_VALUES, repeat=len(frees)),
-                    _MAX_PINS):
-                pinned = dict(zip(frees, pins))
-                full = {k: v.subs(pinned) for k, v in s.items()}
-                full.update(pinned)
-                assignments.append(full)
+    assignments = []
+    for s in sols:
+        frees = set()
+        for v in s.values():
+            frees |= v.free_symbols
+        frees |= set(syms) - set(s.keys())
+        frees = sorted(frees, key=str)
+        if not frees:
+            assignments.append(s)
+            continue
+        open_family = True
+        for pins in itertools.islice(
+                itertools.product(_PIN_VALUES, repeat=len(frees)),
+                _MAX_PINS):
+            pinned = dict(zip(frees, pins))
+            full = {k: v.subs(pinned) for k, v in s.items()}
+            full.update(pinned)
+            assignments.append(full)
     for assign in assignments:
         try:
             vals = [scalar_from_expr(e.subs(assign)) for e in exprs]
@@ -357,7 +353,7 @@ def orbit_equivalent(cf1: CanonicalForm, cf2: CanonicalForm) -> OrbitDecision:
     generated group.  Undecided covers degenerate parameter values,
     derogatory gauge freedom, and unresolved witness families.
     """
-    if cf1.spec.size_multiset() != cf2.spec.size_multiset():
+    if sorted(s for _, s in cf1.blocks) != sorted(s for _, s in cf2.blocks):
         return OrbitDecision("inequivalent")
     if cf1 == cf2:
         return OrbitDecision("equivalent", SymmetryParams.identity(),

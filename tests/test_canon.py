@@ -21,7 +21,7 @@ from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
                              rank_normal_form)
 from sloccanon.errors import (CheckFailed, DimensionMismatch, NoSplitFound,
                               NotCommuting, NotFullRank, PatternViolation)
-from sloccanon.exactmat import (JordanSpec, Matrix, Scalar,
+from sloccanon.exactmat import (Matrix, Scalar,
                                 combination_ranks, eigenvalues_in_field,
                                 jordan_block, jordan_matrix)
 
@@ -363,8 +363,8 @@ def test_canonical_form_keeps_runs_in_normal_order():
     assert [r.lam for r in cf.runs] == [sc(-1), sc(0), sc(0, 1)]
     assert cf.runs[1].sizes == (2, 1)
     assert CanonicalForm(tuple(reversed(cf.runs))) == cf
-    assert cf.spec == JordanSpec(((sc(-1), 1), (sc(0), 2), (sc(0), 1),
-                                  (sc(0, 1), 2)))
+    assert cf.blocks == ((sc(-1), 1), (sc(0), 2), (sc(0), 1),
+                         (sc(0, 1), 2))
 
 
 def test_canonical_form_refuses_two_runs_with_one_eigenvalue():
@@ -384,7 +384,7 @@ def test_full_rank_reduce_rejects_deficient():
 def test_commuting_pair_diagonal():
     cf, s = commuting_pair_canonical(Matrix.diagonal([1, 2]),
                                      Matrix.diagonal([5, 7]))
-    assert cf.spec == JordanSpec(((sc(1), 1), (sc(2), 1)))
+    assert cf.blocks == ((sc(1), 1), (sc(2), 1))
     assert [b[2] for b in cf.block_data()] == [(sc(5),), (sc(7),)]
     assert s == Matrix.identity(2)
 
@@ -392,7 +392,7 @@ def test_commuting_pair_diagonal():
 def test_commuting_pair_single_block():
     cf, s = commuting_pair_canonical(M([[1, 1], [0, 1]]),
                                      M([[2, 3], [0, 2]]))
-    assert cf.spec == JordanSpec(((sc(1), 2),))
+    assert cf.blocks == ((sc(1), 2),)
     assert cf.block_data() == [(sc(1), 2, (sc(2), sc(3)))]
     j, a = cf.assemble()
     assert s.inverse() @ M([[2, 3], [0, 2]]) @ s == a
@@ -404,7 +404,7 @@ def test_commuting_pair_polynomial_in_block():
     n = jordan_block(sc(0), 3)
     a = Matrix.identity(3).scale(a0) + n.scale(a1) + (n @ n).scale(a2)
     cf, _ = commuting_pair_canonical(j, a)
-    assert cf.spec == JordanSpec(((lam, 3),))
+    assert cf.blocks == ((lam, 3),)
     assert cf.block_data() == [(lam, 3, (a0, a1, a2))]
 
 
@@ -450,7 +450,7 @@ def test_commuting_pair_conjugation_invariance(vals):
 
 def test_derogatory_assembly_roundtrip():
     # two size-2 blocks at one eigenvalue with an off-diagonal coupling
-    j = jordan_matrix(JordanSpec(((sc(0), 2), (sc(0), 2))))
+    j = jordan_matrix(((sc(0), 2), (sc(0), 2)))
     a = M([[1, 2, 0, 3],
            [0, 1, 0, 0],
            [0, 5, 4, 6],
@@ -496,11 +496,11 @@ def test_rank_normal_form_check_raises_domain_error(monkeypatch):
                 min_size=1, max_size=3),
        st.lists(small_ints, min_size=36, max_size=36))
 def test_fitting_projector_on_conjugated_jordan_matrices(blocks, svals):
-    spec = JordanSpec(tuple((sc(lam), size) for lam, size in blocks))
-    n = spec.dim
+    n = sum(size for _, size in blocks)
     s = Matrix(n, n, [sc(v) for v in svals[:n * n]])
     assume(s.rank() == n)
-    m = s @ jordan_matrix(spec) @ s.inverse()
+    m = s @ jordan_matrix([(sc(lam), size) for lam, size in blocks]) \
+        @ s.inverse()
     for lam in {lam for lam, _ in blocks} | {3}:
         p = _fitting_projector(m, sc(lam))
         assert p @ p == p

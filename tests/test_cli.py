@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sloccanon
-from sloccanon import exactmat
+from sloccanon import cli, exactmat
 from sloccanon.canon import CanonicalForm
 from sloccanon.cli import (canon_from_json, canon_to_json, main, parse_scalar,
                            scalar_from_json, scalar_to_json, state_from_json,
@@ -95,9 +95,9 @@ def test_canon_json_roundtrip_plain():
 
 
 def test_canon_json_roundtrip_derogatory():
-    from sloccanon.exactmat import JordanSpec, jordan_matrix
+    from sloccanon.exactmat import jordan_matrix
     from sloccanon.canon import commuting_pair_canonical
-    j = jordan_matrix(JordanSpec(((sc(0), 2), (sc(0), 2))))
+    j = jordan_matrix(((sc(0), 2), (sc(0), 2)))
     a = Matrix.from_rows([[1, 2, 0, 3], [0, 1, 0, 0],
                           [0, 5, 4, 6], [0, 0, 0, 4]])
     cf, _ = commuting_pair_canonical(j, a)
@@ -527,6 +527,59 @@ def test_equiv_undecided_on_derogatory(tmp_path, capsys):
     assert payload["decision"] in ("equivalent", "undecided")
 
 
+# equiv --json bytes, recorded while the witness search had a branch of
+# its own for families with no residual equation.  Forms of 1 x 1 blocks
+# give no equation past the constant ones, so the whole affine family is
+# open and its free parameters are pinned to symmetry._PIN_VALUES in
+# order; the witness is the first pin that maps a onto b.  Each b is its
+# a mapped by a harness.gen_params element.
+NO_EQUATION_GOLDEN = {
+    "two blocks": (
+        [("1", "2"), ("3", "5")],
+        [("-2938/6855+112/20565i", "392/6855-224/20565i"),
+         ("-15640518/39014761+5040/39014761i",
+          "1730680/39014761-252000/39014761i")],
+        {"z1": "-55/16", "z2": {"re": "-547/64", "im": "-135/112"},
+         "z3": {"re": "3/4", "im": "-9/7"}, "d2": "-16", "d3": "1"},
+        [0, 1]),
+    "one block": (
+        [("0", "1")],
+        [("-644/1313+784/1313i", "-161/1313+196/1313i")],
+        {"z1": "0", "z2": {"re": "-30/7", "im": "-4"}, "z3": "4",
+         "d2": "1", "d3": "1"},
+        [0]),
+    "rational": (
+        [("-1", "1/2"), ("2", "3")],
+        [("-6/7", "-9/14"), ("28/29", "-9/29")],
+        {"z1": "0", "z2": "-32/9", "z3": "-2", "d2": "-5/3", "d3": "1"},
+        [0, 1]),
+    "complex": (
+        [("1i", "1"), ("2", "-1")],
+        [("3/380", "-189/380"), ("3/2", "5103/1850-1323/925i")],
+        {"z1": {"re": "118/15", "im": "-18/5"},
+         "z2": {"re": "-101/35", "im": "-2/35"},
+         "z3": {"re": "-1/63", "im": "2/9"}, "d2": "-2/9", "d3": "1"},
+        [0, 1]),
+}
+
+
+def _plain_blocks_obj(blocks):
+    return {"blocks": [{"lambda": lam, "size": 1, "coeffs": [c]}
+                       for lam, c in blocks]}
+
+
+@pytest.mark.parametrize("a,b,witness,permutation",
+                         NO_EQUATION_GOLDEN.values(), ids=NO_EQUATION_GOLDEN)
+def test_equiv_without_residual_equations_golden_bytes(
+        tmp_path, capsys, a, b, witness, permutation):
+    pa = write_json(tmp_path / "a.json", _plain_blocks_obj(a))
+    pb = write_json(tmp_path / "b.json", _plain_blocks_obj(b))
+    assert main(["equiv", pa, pb, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"decision": "equivalent", "witness": witness,
+         "permutation": permutation}, indent=2) + "\n"
+
+
 # -- symmetry-map -----------------------------------------------------------
 
 def test_symmetry_map_golden(tmp_path, capsys):
@@ -588,6 +641,32 @@ def test_selftest_jobs_never_exceed_the_trial_count(capsys, recording_pool):
                  "--jobs", "100000"]) == 0
     assert recording_pool.sizes == [2]
     assert capsys.readouterr().out == "nilpoly: pass=2\nfailures: 0\n"
+
+
+# -- entry point --------------------------------------------------------------
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    canon = write_json(tmp_path / "c.json", single_block_obj("1", ["0", "2"]))
+    assert main(["symmetry-map", canon, "--z3", "1"]) == 0
+    assert main(["equiv", canon, canon]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_crash_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
+    # exit 1 means "inequivalent", so a crash must not end in it
+    def crash(cf1, cf2):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "orbit_equivalent", crash)
+    canon = write_json(tmp_path / "c.json", single_block_obj("1", ["0", "2"]))
+    assert main(["equiv", canon, canon]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 # -- start-up -----------------------------------------------------------------

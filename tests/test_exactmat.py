@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sloccanon import exactmat
 from sloccanon.errors import CheckFailed, NotInField, SingularMatrix
-from sloccanon.exactmat import (JordanSpec, Matrix, Scalar, combination_ranks,
+from sloccanon.exactmat import (Matrix, Scalar, combination_ranks,
                                 commutant_basis, eigenvalues_in_field,
                                 jordan_block, jordan_decompose, jordan_matrix,
                                 poly_eval)
@@ -348,19 +348,19 @@ def test_field_roots_recover_planted_roots(roots, conjugates, repeats,
 # -- jordan decomposition ---------------------------------------------------
 
 def test_jordan_examples():
-    s, spec = jordan_decompose(Matrix.diagonal([3, 3]))
-    assert spec == JordanSpec(((sc(3), 1), (sc(3), 1)))
+    s, blocks = jordan_decompose(Matrix.diagonal([3, 3]))
+    assert blocks == ((sc(3), 1), (sc(3), 1))
     assert s == Matrix.identity(2)
-    _, spec = jordan_decompose(M([[1, 1], [0, 1]]))
-    assert spec == JordanSpec(((sc(1), 2),))
-    _, spec = jordan_decompose(M([[5, 4], [-4, -3]]))
-    assert spec == JordanSpec(((sc(1), 2),))
+    _, blocks = jordan_decompose(M([[1, 1], [0, 1]]))
+    assert blocks == ((sc(1), 2),)
+    _, blocks = jordan_decompose(M([[5, 4], [-4, -3]]))
+    assert blocks == ((sc(1), 2),)
 
 
 def test_jordan_fixed_point_on_normalized_input():
-    spec = JordanSpec(((sc(1), 3), (sc(1), 1), (sc(2), 2)))
-    s, out = jordan_decompose(jordan_matrix(spec))
-    assert out == spec and s == Matrix.identity(6)
+    blocks = ((sc(1), 3), (sc(1), 1), (sc(2), 2))
+    s, out = jordan_decompose(jordan_matrix(blocks))
+    assert out == blocks and s == Matrix.identity(6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,14 +368,15 @@ def test_jordan_fixed_point_on_normalized_input():
        st.sampled_from([((0, 3),), ((1, 2), (1, 1)), ((2, 2), (5, 1)),
                         ((0, 1), (1, 1), (2, 1))]))
 def test_jordan_witness_roundtrip(vals, blocks):
-    spec = JordanSpec(tuple((sc(l), n) for l, n in blocks))
-    j = jordan_matrix(spec)
+    blocks = tuple((sc(l), n) for l, n in blocks)
+    j = jordan_matrix(blocks)
     c = Matrix(3, 3, [sc(v) for v in vals])
     if c.rank() < 3:
         return
     m = c @ j @ c.inverse()
-    s, out = jordan_decompose(m, hints=[lam for lam, _ in spec.blocks])
-    assert out == spec.normalized()
+    s, out = jordan_decompose(m, hints=[lam for lam, _ in blocks])
+    assert out == tuple(sorted(blocks,
+                               key=lambda b: (b[0].sort_key(), -b[1])))
     assert s.inverse() @ m @ s == jordan_matrix(out)
     assert s @ jordan_matrix(out) @ s.inverse() == m
 
@@ -388,9 +389,13 @@ def test_jordan_checks_raise_domain_errors(monkeypatch):
     with pytest.raises(CheckFailed):
         jordan_decompose(m)
     monkeypatch.undo()
-    monkeypatch.setattr(JordanSpec, "is_normalized", lambda self: False)
-    with pytest.raises(CheckFailed):
-        jordan_decompose(m)
+    # eigenvalues handed over in descending order build the blocks out
+    # of the normal order, which the Jordan basis check would pass
+    real_eigenvalues = exactmat.eigenvalues_in_field
+    monkeypatch.setattr(exactmat, "eigenvalues_in_field",
+                        lambda m, hints: real_eigenvalues(m, hints)[::-1])
+    with pytest.raises(CheckFailed, match="normal order"):
+        jordan_decompose(M([[2, 0], [0, 3]]))
     monkeypatch.undo()
     # a singular s passes m @ s == s @ J (s = 0 does); the rank check
     # must reject it.  diag(2, 3) builds only its final s from two columns
@@ -405,9 +410,8 @@ def test_jordan_checks_raise_domain_errors(monkeypatch):
 # -- commutant basis --------------------------------------------------------
 
 def test_commutant_basis_examples():
-    assert commutant_basis(JordanSpec(((sc(7), 1),))) == \
-        [Matrix.identity(1)]
-    basis = commutant_basis(JordanSpec(((sc(7), 3),)))
+    assert commutant_basis(((sc(7), 1),)) == [Matrix.identity(1)]
+    basis = commutant_basis(((sc(7), 3),))
     assert basis == [Matrix.identity(3), jordan_block(sc(0), 3),
                      jordan_block(sc(0), 3) @ jordan_block(sc(0), 3)]
 
@@ -419,9 +423,9 @@ def test_commutant_basis_examples():
     (((0, 4), (0, 2), (0, 1)), 15),
 ])
 def test_commutant_basis_count_and_commutation(blocks, expected):
-    spec = JordanSpec(tuple((sc(l), n) for l, n in blocks))
-    basis = commutant_basis(spec)
+    blocks = tuple((sc(l), n) for l, n in blocks)
+    basis = commutant_basis(blocks)
     assert len(basis) == expected
-    j = jordan_matrix(spec)
+    j = jordan_matrix(blocks)
     for b in basis:
         assert (b @ j - j @ b).is_zero()

@@ -31,7 +31,8 @@ def test_gen_canonical_is_deterministic():
 def test_gen_canonical_respects_profile():
     cf = gen_canonical(_cfg(3, ((0, 2), (0, 2), (5, 1))))
     assert cf.is_derogatory()
-    assert [(r.lam, r.sizes) for r in cf.runs] == cf.spec.runs()
+    assert [(lam.re, size) for lam, size in cf.blocks] == \
+        [(0, 2), (0, 2), (5, 1)]
     j, a = cf.assemble()
     assert (j @ a - a @ j).is_zero()
 

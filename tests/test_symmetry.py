@@ -144,8 +144,8 @@ def test_composite_matches_matrix_oracle():
 
 
 def test_apply_all_on_derogatory_form():
-    from sloccanon.exactmat import JordanSpec, jordan_matrix
-    j = jordan_matrix(JordanSpec(((sc(1), 2), (sc(1), 2))))
+    from sloccanon.exactmat import jordan_matrix
+    j = jordan_matrix(((sc(1), 2), (sc(1), 2)))
     a = Matrix.from_rows([[2, 1, 0, 3],
                           [0, 2, 0, 0],
                           [0, 5, 2, 4],
