@@ -8,7 +8,10 @@ For each seed of the range and each round index below R, the operations
 of ``bench/workloads.make_round`` run through ``sloccanon.cli.main`` in
 this process, with this checkout's ``src`` and ``bench`` on the import
 path.  A ``canonicalize`` operation runs twice, plain and with
-``--json``.  The one JSON line printed holds the number of operations,
+``--json``.  The ``selftest`` workload has one operation per seed S,
+``selftest --seed S --count 15 --report trials.jsonl``, whose report's
+bytes join its call; it ignores the rounds.  The one JSON line printed
+holds the number of operations,
 the sha256 of every call's (exit code, stdout, stderr) in order, and a
 short sha256 of each operation's calls.  The input files are written to a
 temporary directory and named relative to it, so a message that quotes a
@@ -46,30 +49,43 @@ def _call(main, argv):
     return [code, out.getvalue(), err.getvalue()]
 
 
+def _op_calls(main, workload, seed, rounds):
+    """The calls of one seed's operations, one list of calls per op."""
+    if workload == "selftest":
+        report = Path("trials.jsonl")
+        call = _call(main, ["selftest", "--seed", str(seed), "--count", "15",
+                            "--report", report.name])
+        yield [call + [report.read_text() if report.exists() else None]]
+        report.unlink(missing_ok=True)
+        return
+    from workloads import make_round
+
+    for index in range(rounds):
+        for k, op in enumerate(make_round(workload, seed, index)):
+            names = []
+            for i, obj in enumerate(op["files"]):
+                names.append(f"op{k}_{i}.json")
+                Path(names[-1]).write_text(json.dumps(obj))
+            variants = [op["args"]]
+            if op["cmd"] == "canonicalize":
+                plain = [a for a in op["args"] if a != "--json"]
+                variants = [plain, plain + ["--json"]]
+            yield [_call(main, [op["cmd"], *names, *a]) for a in variants]
+
+
 def digest(workload, seeds, rounds):
     for path in (ROOT / "bench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     from sloccanon.cli import main
-    from workloads import make_round
 
     total, per_op = hashlib.sha256(), []
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for seed in seeds:
-            for index in range(rounds):
-                for k, op in enumerate(make_round(workload, seed, index)):
-                    names = []
-                    for i, obj in enumerate(op["files"]):
-                        names.append(f"op{k}_{i}.json")
-                        Path(names[-1]).write_text(json.dumps(obj))
-                    variants = [op["args"]]
-                    if op["cmd"] == "canonicalize":
-                        plain = [a for a in op["args"] if a != "--json"]
-                        variants = [plain, plain + ["--json"]]
-                    calls = json.dumps([_call(main, [op["cmd"], *names, *a])
-                                        for a in variants]).encode()
-                    total.update(calls)
-                    per_op.append(hashlib.sha256(calls).hexdigest()[:16])
+            for calls in _op_calls(main, workload, seed, rounds):
+                calls = json.dumps(calls).encode()
+                total.update(calls)
+                per_op.append(hashlib.sha256(calls).hexdigest()[:16])
     return {"workload": workload, "seeds": [seeds[0], seeds[-1]],
             "rounds": rounds, "ops": len(per_op),
             "sha256": total.hexdigest(), "op_sha256": per_op}
@@ -78,7 +94,8 @@ def digest(workload, seeds, rounds):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", required=True,
-                   choices=["canonicalize", "symmetry-map", "equiv"])
+                   choices=["canonicalize", "symmetry-map", "equiv",
+                            "selftest"])
     p.add_argument("--seeds", required=True, help="a range such as 1-2")
     p.add_argument("--rounds", type=int, default=1)
     args = p.parse_args(argv)

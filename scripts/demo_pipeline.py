@@ -13,7 +13,7 @@ import random
 from sloccanon.canon import CanonicalForm, apply_ilo, full_rank_reduce, \
     commuting_pair_canonical
 from sloccanon.exactmat import Scalar
-from sloccanon.harness import GenConfig, gen_canonical, gen_ilo
+from sloccanon.harness import gen_canonical, gen_ilo
 from sloccanon.symmetry import orbit_equivalent
 
 
@@ -24,14 +24,12 @@ def main():
 
     rng = random.Random(args.seed)
     profile = ((Scalar.of(1), 2), (Scalar.of(3), 1))
-    cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=3,
-                                 block_profile=profile))
+    cf = gen_canonical(rng.randrange(2 ** 30), profile)
     print("canonical form blocks:")
     for lam, size, coeffs in cf.block_data():
         print(f"  lambda={lam} size={size} coeffs={[str(c) for c in coeffs]}")
 
-    ops = gen_ilo(GenConfig(seed=rng.randrange(2 ** 30), N=3),
-                  family="upper_unitriangular_T")
+    ops = gen_ilo(rng.randrange(2 ** 30), 3)
     scrambled = apply_ilo(cf.assemble_state(), ops)
     reduced = full_rank_reduce(scrambled)
     recovered, _ = commuting_pair_canonical(reduced.gammas[1],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
                      NotCommuting, NotFullRank, NotInField, PatternViolation)
-from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce,
+from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, _kernel,
                        combination_ranks, eigenvalues_in_field,
                        jordan_matrix, jordan_decompose)
 from .nilpoly import (TruncPoly, check_commutant_grid,
@@ -280,7 +280,9 @@ def full_rank_reduce(psi: TensorState, *, sweep=None) -> TensorState:
         raise NotFullRank(f"maximum attained rank {r} < {psi.N}")
     mixed = _mix(_completion_matrix(t), psi.gammas)
     p = mixed[0].inverse()
-    return TensorState(psi.L, psi.N, tuple(p @ g for g in mixed))
+    # p is mixed[0]'s exact inverse, so p @ mixed[0] is the identity
+    return TensorState(psi.L, psi.N, (Matrix.identity(psi.N),)
+                       + tuple(p @ g for g in mixed[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +331,16 @@ def rank_normal_form(m: Matrix):
     aug = Matrix.from_rows([m.row(i) + Matrix.identity(n_rows).row(i)
                             for i in range(n_rows)])
     red, aug_pivots = aug.rref()
-    x = Matrix.from_rows([r[:n_cols] for r in red])
     p = Matrix.from_rows([r[n_cols:] for r in red])
-    # x = p @ m is the reduced echelon form of m: its pivots are those of
-    # [m | I] that fall in m's columns
+    # x = p @ m, the first n_cols columns of red, is the reduced echelon
+    # form of m: its pivots are those of [m | I] that fall in m's columns
     pivots = [c for c in aug_pivots if c < n_cols]
     r = len(pivots)
     # x takes the unit vector at its k-th pivot to e_k and its nullspace
     # to zero, so x @ q = diag(I_r, 0)
     q = Matrix.from_columns(
         [[ONE if i == c else ZERO for i in range(n_cols)] for c in pivots]
-        + x.nullspace())
+        + _kernel(red, pivots, n_cols))
     expected = Matrix.from_rows([[ONE if (i == j and i < r) else ZERO
                                   for j in range(n_cols)]
                                  for i in range(n_rows)])
@@ -440,10 +441,11 @@ def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:
     k, power = m - Matrix.identity(n).scale(lam), 1
     while power < n:
         k, power = k @ k, 2 * power
-    kernel = k.nullspace()
+    red, pivots = k.rref()
+    kernel = _kernel(red, pivots, n)
     if not kernel:
         return Matrix.zero(n, n)
-    u = Matrix.from_columns(kernel + _column_space(k))
+    u = Matrix.from_columns(kernel + [k.column(j) for j in pivots])
     d = Matrix.diagonal([1] * len(kernel) + [0] * (n - len(kernel)))
     return u @ d @ u.inverse()
 

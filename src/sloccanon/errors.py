@@ -65,9 +65,5 @@ class ZeroScale(SloccError):
     pass
 
 
-class BadProfile(SloccError):
-    pass
-
-
 class ParseError(SloccError):
     """Malformed state or canonical-form file."""

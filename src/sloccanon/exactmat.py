@@ -310,16 +310,7 @@ class Matrix:
 
     def nullspace(self):
         """Deterministic basis of the right nullspace (list of columns)."""
-        m, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
+        return _kernel(*self.rref(), self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -444,6 +435,23 @@ def _eliminate(re, im, cols):
         pivots.append(c)
         dr, di = ar, ai
     return (dr, di), pivots
+
+
+def _kernel(rows, pivots, cols):
+    """Right nullspace basis of a matrix from its reduced echelon form.
+
+    rows are the reduced rows, possibly with more columns after the
+    first cols, and pivots the pivot columns below cols.  One vector per
+    free column, in column order.
+    """
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
 
 
 def _quotient(p, q, den) -> Scalar:

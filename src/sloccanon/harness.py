@@ -1,8 +1,8 @@
 """Randomized generators and the brute-force matrix oracle.
 
 Everything the symmetry engine claims is checked here by the defining
-computation: assemble the canonical triple as explicit matrices, apply
-the local operators entry by entry, and re-canonicalize from scratch.
+computation: assemble the canonical triple as explicit matrices, mix
+its slots by T entry by entry, and re-canonicalize from scratch.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadProfile, DegenerateParameter
+from .errors import DegenerateParameter, PatternViolation
 from .exactmat import Matrix, Scalar, ZERO, ONE, _coerce
-from .canon import (AClassRun, CanonicalForm, ILOTriple, TensorState,
-                    apply_ilo, commuting_pair_canonical, full_rank_reduce)
+from .canon import (AClassRun, CanonicalForm, ILOTriple, TensorState, _mix,
+                    commuting_pair_canonical, full_rank_reduce)
 from .nilpoly import (TruncPoly, compose, grid_support, mul, reciprocal,
                       shifted_reversion)
 from .symmetry import SymmetryParams, apply_all, matrix_of_params, mobius_2nn
@@ -29,20 +27,6 @@ BOUND = 9
 IMAGINARY_RATE = 0.2
 # parameter draws a trial makes before it reports "degenerate"
 MAX_REDRAWS = 20
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Deterministic generation parameters; same seed, same artifacts."""
-
-    seed: int
-    N: int
-    block_profile: tuple = ()
-
-    def __post_init__(self):
-        profile = tuple((_coerce(lam), int(size))
-                        for lam, size in self.block_profile)
-        object.__setattr__(self, "block_profile", profile)
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -59,15 +43,18 @@ def _rand_scalar(rng: random.Random, allow_zero: bool = True) -> Scalar:
             return s
 
 
-def gen_canonical(cfg: GenConfig) -> CanonicalForm:
-    """Random canonical form honoring the profile's (lambda, size) blocks."""
-    if sum(size for _, size in cfg.block_profile) != cfg.N:
-        raise BadProfile("profile sizes must sum to N")
-    if any(size < 1 for _, size in cfg.block_profile):
-        raise BadProfile("block sizes must be positive")
-    rng = random.Random(cfg.seed)
+def gen_canonical(seed: int, profile) -> CanonicalForm:
+    """Random canonical form honoring the profile's (lambda, size) blocks.
+
+    Same seed and profile, same form; its dimension is the sum of the
+    sizes.
+    """
+    if any(size < 1 for _, size in profile):
+        raise PatternViolation("block sizes must be positive")
+    rng = random.Random(seed)
     by_lam = {}
-    for lam, size in cfg.block_profile:
+    for lam, size in profile:
+        lam = _coerce(lam)
         by_lam.setdefault(lam.sort_key(), (lam, []))[1].append(size)
     runs = []
     for key in sorted(by_lam):
@@ -107,35 +94,33 @@ def _rand_invertible(rng: random.Random, n: int) -> Matrix:
             return m
 
 
-def gen_ilo(cfg: GenConfig, family: str = "general") -> ILOTriple:
-    """Random invertible triple on three slots; T may be constrained."""
-    rng = random.Random(cfg.seed)
-    if family == "general":
-        t = _rand_invertible(rng, 3)
-    elif family == "upper_unitriangular_T":
-        rows = []
-        for i in range(3):
-            row = [ZERO] * 3
-            row[i] = ONE if i == 0 else _rand_scalar(rng, allow_zero=False)
-            for j in range(i + 1, 3):
-                row[j] = _rand_scalar(rng)
-            rows.append(row)
-        t = Matrix.from_rows(rows)
-    else:
-        raise BadProfile(f"unknown ILO family: {family}")
-    p = _rand_invertible(rng, cfg.N)
-    q = _rand_invertible(rng, cfg.N)
-    return ILOTriple(t, p, q)
+def gen_ilo(seed: int, n: int) -> ILOTriple:
+    """Random invertible triple on three slots of n x n matrices.
 
-
-def oracle_recanonicalize(cf: CanonicalForm, ops: ILOTriple,
-                          hints=None) -> CanonicalForm:
-    """Transform the assembled matrices and canonicalize from scratch.
-
-    Hints are optional eigenvalue candidates; they are verified by exact
-    substitution before use, so they only speed up the factorization.
+    T is upper triangular with t[0, 0] = 1 and a nonzero diagonal.
     """
-    state = apply_ilo(cf.assemble_state(), ops)
+    rng = random.Random(seed)
+    rows = []
+    for i in range(3):
+        row = [ZERO] * 3
+        row[i] = ONE if i == 0 else _rand_scalar(rng, allow_zero=False)
+        for j in range(i + 1, 3):
+            row[j] = _rand_scalar(rng)
+        rows.append(row)
+    p = _rand_invertible(rng, n)
+    q = _rand_invertible(rng, n)
+    return ILOTriple(Matrix.from_rows(rows), p, q)
+
+
+def oracle_recanonicalize(cf: CanonicalForm, t: Matrix,
+                          hints=None) -> CanonicalForm:
+    """Mix the assembled slots by T and canonicalize from scratch.
+
+    T must be invertible.  Hints are optional eigenvalue candidates;
+    they are verified by exact substitution before use, so they only
+    speed up the factorization.
+    """
+    state = TensorState(3, cf.dim, _mix(t, cf.assemble_state().gammas))
     reduced = full_rank_reduce(state)
     out, _ = commuting_pair_canonical(reduced.gammas[1], reduced.gammas[2],
                                       hints=hints)
@@ -155,28 +140,32 @@ SIZE_PATTERNS = (
 )
 
 
-def _profile_for(rng: random.Random, pattern):
-    """Assign distinct eigenvalues to the pattern's runs."""
+def _random_form(rng: random.Random):
+    """(profile, form): a size pattern, distinct eigenvalues for its runs,
+    then a random canonical form with those blocks."""
+    pattern = SIZE_PATTERNS[rng.randrange(len(SIZE_PATTERNS))]
     lams = []
     while len(lams) < len(pattern):
         lam = _rand_scalar(rng)
         if lam not in lams:
             lams.append(lam)
-    return tuple((lam, size) for lam, run in zip(lams, pattern)
-                 for size in run)
+    profile = tuple((lam, size) for lam, run in zip(lams, pattern)
+                    for size in run)
+    return profile, gen_canonical(rng.randrange(2 ** 30), profile)
+
+
+def _record(seed: int, profile, verdict: str, redraws: int = 0) -> dict:
+    """One trial's report line."""
+    return {"seed": seed,
+            "profile": [[str(lam), size] for lam, size in profile],
+            "verdict": verdict, "redraws": redraws}
 
 
 def symmetry_trial(seed: int) -> dict:
     """One oracle-equivalence trial: apply_all vs explicit matrices."""
     rng = random.Random(seed)
-    pattern = SIZE_PATTERNS[rng.randrange(len(SIZE_PATTERNS))]
-    profile = _profile_for(rng, pattern)
-    n = sum(size for _, size in profile)
-    cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile))
+    profile, cf = _random_form(rng)
     redraws = 0
-    record = {"seed": seed, "profile": [[str(lam), size]
-                                        for lam, size in profile]}
     while True:
         sp = gen_params(rng)
         if cf.is_derogatory() and redraws >= 5:
@@ -190,15 +179,11 @@ def symmetry_trial(seed: int) -> dict:
         except DegenerateParameter:
             redraws += 1
             if redraws > MAX_REDRAWS:
-                record.update(verdict="degenerate", redraws=redraws)
-                return record
-    ops = ILOTriple(matrix_of_params(sp), Matrix.identity(n),
-                    Matrix.identity(n))
-    actual = oracle_recanonicalize(cf, ops,
+                return _record(seed, profile, "degenerate", redraws)
+    actual = oracle_recanonicalize(cf, matrix_of_params(sp),
                                    hints=[run.lam for run in expected.runs])
-    record.update(verdict="pass" if actual == expected else "fail",
-                  redraws=redraws)
-    return record
+    return _record(seed, profile, "pass" if actual == expected else "fail",
+                   redraws)
 
 
 def mobius_trial(seed: int) -> dict:
@@ -213,11 +198,8 @@ def mobius_trial(seed: int) -> dict:
             sizes.append(rng.randint(1, 4))
     n = sum(sizes)
     profile = tuple(zip(lams, sizes))
-    cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile))
+    cf = gen_canonical(rng.randrange(2 ** 30), profile)
     j = cf.assemble()[0]
-    record = {"seed": seed, "profile": [[str(lam), size]
-                                        for lam, size in profile]}
     redraws = 0
     while True:
         t11 = _rand_scalar(rng, allow_zero=False)
@@ -227,8 +209,7 @@ def mobius_trial(seed: int) -> dict:
             break
         redraws += 1
         if redraws > MAX_REDRAWS:
-            record.update(verdict="degenerate", redraws=redraws)
-            return record
+            return _record(seed, profile, "degenerate", redraws)
     e = Matrix.identity(n)
     state = TensorState(2, n, (e.scale(t11) + j.scale(t12), j.scale(t22)))
     reduced = full_rank_reduce(state)
@@ -239,10 +220,9 @@ def mobius_trial(seed: int) -> dict:
     # substitution before being trusted, so the comparison stays sound
     out, _ = commuting_pair_canonical(reduced.gammas[1], Matrix.zero(n, n),
                                       hints=[lam for lam, _ in expected])
-    record.update(
-        verdict="pass" if list(out.blocks) == expected else "fail",
-        redraws=redraws)
-    return record
+    return _record(seed, profile,
+                   "pass" if list(out.blocks) == expected else "fail",
+                   redraws)
 
 
 def nilpoly_trial(seed: int) -> dict:
@@ -259,22 +239,14 @@ def nilpoly_trial(seed: int) -> dict:
     rev = shifted_reversion(f)
     ok = ok and compose(rev, f0) == TruncPoly.variable(order)
     ok = ok and compose(f0, rev) == TruncPoly.variable(order)
-    return {"seed": seed, "profile": [["order", order]],
-            "verdict": "pass" if ok else "fail", "redraws": 0}
+    return _record(seed, [("order", order)], "pass" if ok else "fail")
 
 
 def roundtrip_trial(seed: int) -> dict:
-    """Identity operators must re-canonicalize to the very same form."""
-    rng = random.Random(seed)
-    pattern = SIZE_PATTERNS[rng.randrange(len(SIZE_PATTERNS))]
-    profile = _profile_for(rng, pattern)
-    n = sum(size for _, size in profile)
-    cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30), N=n,
-                                 block_profile=profile))
-    ok = oracle_recanonicalize(cf, ILOTriple.identity(3, n)) == cf
-    return {"seed": seed, "profile": [[str(lam), size]
-                                      for lam, size in profile],
-            "verdict": "pass" if ok else "fail", "redraws": 0}
+    """The identity T must re-canonicalize to the very same form."""
+    profile, cf = _random_form(random.Random(seed))
+    ok = oracle_recanonicalize(cf, Matrix.identity(3)) == cf
+    return _record(seed, profile, "pass" if ok else "fail")
 
 
 TRIAL_SUITES = {
@@ -294,6 +266,8 @@ def run_trials(count: int, seed: int = 0, jobs: int = 1,
     seeds = [seed * 1_000_003 + i for i in range(count)]
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(trial, seeds))
     return [trial(s) for s in seeds]

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .errors import (DegenerateParameter, NotInField, NotInvertible,
                      NotReversible, SingularMatrix, ZeroScale)
-from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, scalar_from_expr,
-                       scalar_to_qqi)
+from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, _kernel,
+                       scalar_from_expr, scalar_to_qqi)
 from .canon import CanonicalForm, commuting_pair_canonical
 from .nilpoly import TruncPoly, compose, mul, reciprocal, shifted_reversion
 
@@ -228,7 +228,8 @@ def _solve_affine(a: Matrix, rhs):
     particular = [ZERO] * a.cols
     for r, p in enumerate(pivots):
         particular[p] = red[r][a.cols]
-    return particular, a.nullspace()
+    # feasible, so every pivot lies in a's columns: red holds a's rref
+    return particular, _kernel(red, pivots, a.cols)
 
 
 def _field_element(k, s: Scalar):

@@ -19,9 +19,8 @@ from sloccanon.cli import canon_to_json, main, scalar_from_json
 from sloccanon.errors import DegenerateParameter
 from sloccanon.exactmat import (Matrix, Scalar, commutant_basis,
                                 jordan_matrix)
-from sloccanon.harness import (GenConfig, _rand_scalar, gen_canonical,
-                               gen_params, mobius_trial, run_trials,
-                               symmetry_trial)
+from sloccanon.harness import (_rand_scalar, gen_canonical, gen_params,
+                               mobius_trial, run_trials, symmetry_trial)
 from sloccanon.nilpoly import TruncPoly, compose, mul, reciprocal, \
     shifted_reversion
 from sloccanon.symmetry import (SymmetryParams, apply_T_EA, apply_T_EJ,
@@ -138,9 +137,7 @@ def test_criterion_5_orbit_decision_soundness(tmp_path):
             lam = _rand_scalar(rng)
             if lam not in lams:
                 lams.append(lam)
-        cf = gen_canonical(GenConfig(seed=rng.randrange(2 ** 30),
-                                     N=sum(sizes),
-                                     block_profile=tuple(zip(lams, sizes))))
+        cf = gen_canonical(rng.randrange(2 ** 30), tuple(zip(lams, sizes)))
         while True:
             try:
                 cf2 = apply_all(cf, gen_params(rng))

@@ -693,3 +693,19 @@ def test_closed_form_commands_do_not_load_sympy(tmp_path):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only selftest --jobs above 1 starts worker processes, so the pool
+    # and multiprocessing are imported there and nowhere else
+    code = "\n".join([
+        "import sys",
+        "import sloccanon.cli",
+        "print([m in sys.modules for m in",
+        "       ('multiprocessing', 'concurrent.futures.process')])"])
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(sloccanon.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[False, False]"

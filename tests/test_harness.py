@@ -1,35 +1,35 @@
 """Deterministic generators and the randomized trial runner."""
 
+import concurrent.futures
 import json
 import random
 
 import pytest
 
 from sloccanon import harness
-from sloccanon.errors import BadProfile
+from sloccanon.canon import (ILOTriple, apply_ilo, commuting_pair_canonical,
+                             full_rank_reduce)
+from sloccanon.errors import PatternViolation, SloccError
 from sloccanon.exactmat import Matrix
-from sloccanon.harness import (GenConfig, SIZE_PATTERNS, TRIAL_SUITES,
+from sloccanon.harness import (SIZE_PATTERNS, TRIAL_SUITES, _random_form,
                                gen_canonical, gen_ilo, gen_params,
                                mobius_trial, nilpoly_trial,
                                oracle_recanonicalize, roundtrip_trial,
                                run_trials, symmetry_trial, write_jsonl)
-
-
-def _cfg(seed, profile):
-    n = sum(size for _, size in profile)
-    return GenConfig(seed=seed, N=n, block_profile=profile)
+from sloccanon.symmetry import matrix_of_params
 
 
 # -- generators -------------------------------------------------------------
 
 def test_gen_canonical_is_deterministic():
-    cfg = _cfg(7, ((1, 2), (3, 1)))
-    assert gen_canonical(cfg) == gen_canonical(cfg)
-    assert gen_canonical(cfg) != gen_canonical(_cfg(8, ((1, 2), (3, 1))))
+    profile = ((1, 2), (3, 1))
+    assert gen_canonical(7, profile) == gen_canonical(7, profile)
+    assert gen_canonical(7, profile) != gen_canonical(8, profile)
+    assert gen_canonical(7, profile).dim == 3
 
 
 def test_gen_canonical_respects_profile():
-    cf = gen_canonical(_cfg(3, ((0, 2), (0, 2), (5, 1))))
+    cf = gen_canonical(3, ((0, 2), (0, 2), (5, 1)))
     assert cf.is_derogatory()
     assert [(lam.re, size) for lam, size in cf.blocks] == \
         [(0, 2), (0, 2), (5, 1)]
@@ -38,23 +38,18 @@ def test_gen_canonical_respects_profile():
 
 
 def test_gen_canonical_rejects_bad_profiles():
-    with pytest.raises(BadProfile):
-        gen_canonical(GenConfig(seed=0, N=3, block_profile=((0, 2),)))
-    with pytest.raises(BadProfile):
-        gen_canonical(GenConfig(seed=0, N=0, block_profile=((0, 0),)))
+    with pytest.raises(PatternViolation):
+        gen_canonical(0, ((0, 0),))
 
 
-def test_gen_ilo_families():
-    cfg = GenConfig(seed=11, N=3)
-    general = gen_ilo(cfg, family="general")
-    assert general.t.rank() == 3
-    tri = gen_ilo(cfg, family="upper_unitriangular_T")
+def test_gen_ilo_draws_an_upper_unitriangular_t():
+    tri = gen_ilo(11, 3)
     assert tri.t[0, 0] == Matrix.identity(1)[0, 0]
     for i in range(3):
         for j in range(i):
             assert tri.t[i, j].is_zero()
-    with pytest.raises(BadProfile):
-        gen_ilo(cfg, family="nonsense")
+    assert tri.p.rows == tri.q.rows == 3
+    assert gen_ilo(11, 3) == gen_ilo(11, 3)
 
 
 def test_gen_params_deterministic():
@@ -62,9 +57,33 @@ def test_gen_params_deterministic():
 
 
 def test_oracle_recanonicalize_identity_fixed_point():
-    cf = gen_canonical(_cfg(21, ((2, 3), (0, 1))))
-    from sloccanon.canon import ILOTriple
-    assert oracle_recanonicalize(cf, ILOTriple.identity(3, 4)) == cf
+    cf = gen_canonical(21, ((2, 3), (0, 1)))
+    assert oracle_recanonicalize(cf, Matrix.identity(3)) == cf
+
+
+def _outcome(fn):
+    """fn's result, or the type of the domain error it raised."""
+    try:
+        return fn()
+    except SloccError as exc:
+        return type(exc)
+
+
+def _ilo_reference(cf, t):
+    """The canonical form of the full (T, I, I) action on cf's state."""
+    n = cf.dim
+    ops = ILOTriple(t, Matrix.identity(n), Matrix.identity(n))
+    reduced = full_rank_reduce(apply_ilo(cf.assemble_state(), ops))
+    return commuting_pair_canonical(reduced.gammas[1], reduced.gammas[2])[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_mixing_by_t_is_the_ilo_action(seed):
+    rng = random.Random(seed)
+    _, cf = _random_form(rng)
+    t = matrix_of_params(gen_params(rng))
+    assert _outcome(lambda: oracle_recanonicalize(cf, t)) == \
+        _outcome(lambda: _ilo_reference(cf, t))
 
 
 # -- trials -----------------------------------------------------------------
@@ -120,7 +139,8 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     return RecordingPool
 
