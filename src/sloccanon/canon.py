@@ -403,14 +403,36 @@ def _split_piece(piece):
     M_{k_j} of E/rad E, which a central idempotent rules out for two
     factors: the piece is homogeneous, S^k.  In both cases its summands
     are all full-rank squares or none are, so leaving it whole keeps
-    (n, m, i).  A side whose spectrum leaves Q(i) is skipped; with no
-    split found, NoSplitFound is raised.
+    (n, m, i).  A side whose spectrum leaves Q(i) is skipped.  If that
+    leaves no split, the centre of E/rad E decides: one-dimensional, the
+    piece is homogeneous and stays whole; else the central elements are
+    tried the same way, and NoSplitFound is raised if they find no split
+    while a spectrum of theirs leaves Q(i).
     """
     basis = _endomorphism_basis(piece)
-    if len(basis) <= 1 or _trace_form_rank(basis) <= 1:
+    if len(basis) <= 1:
         return None
+    rank = _trace_form_rank(basis)
+    if rank <= 1:
+        return None
+    parts, unknown = _split_by_spectrum(piece, basis)
+    if parts is None and unknown:
+        centre = _centre_mod_radical(basis)
+        if len(centre) - (len(basis) - rank) <= 1:
+            return None
+        parts, unknown = _split_by_spectrum(piece, centre)
+        if parts is None and unknown:
+            raise NoSplitFound(
+                "endomorphism spectrum leaves the Gaussian rationals")
+    return parts
+
+
+def _split_by_spectrum(piece, elements):
+    """(parts, unknown): the split at the first element with a side of
+    two distinct eigenvalues in Q(i), or None; unknown is whether a
+    side's spectrum left Q(i) before that."""
     unknown = False
-    for rmat, cmat in basis:
+    for rmat, cmat in elements:
         for source in (rmat, cmat):
             if source.rows < 2:
                 continue
@@ -420,13 +442,36 @@ def _split_piece(piece):
                 unknown = True
                 continue
             if eigs[0] != eigs[-1]:
-                return _apply_projector(piece,
-                                        _fitting_projector(rmat, eigs[0]),
-                                        _fitting_projector(cmat, eigs[0]))
-    if unknown:
-        raise NoSplitFound(
-            "endomorphism spectrum leaves the Gaussian rationals")
-    return None
+                parts = _apply_projector(piece,
+                                         _fitting_projector(rmat, eigs[0]),
+                                         _fitting_projector(cmat, eigs[0]))
+                return parts, unknown
+    return None, unknown
+
+
+def _centre_mod_radical(basis):
+    """Elements of E spanning rad E plus the centre of E/rad E.
+
+    z is central modulo rad E, the kernel of the trace form, iff
+    tr(z [b, y]) = tr([z, b] y) vanishes for all basis pairs b, y; so
+    the span has dimension dim rad E + dim Z(E/rad E).
+    """
+    commutators = [(ra @ rb - rb @ ra, ca @ cb - cb @ ca)
+                   for (ra, ca), (rb, cb) in itertools.combinations(basis, 2)]
+    if not commutators:
+        return list(basis)
+    left = Matrix.from_rows([r.entries + c.entries for r, c in basis])
+    right = Matrix.from_columns([r.transpose().entries + c.transpose().entries
+                                 for r, c in commutators])
+    centre = []
+    for coeffs in (left @ right).transpose().nullspace():
+        rmat = Matrix.zero(basis[0][0].rows, basis[0][0].rows)
+        cmat = Matrix.zero(basis[0][1].rows, basis[0][1].rows)
+        for x, (r, c) in zip(coeffs, basis):
+            if not x.is_zero():
+                rmat, cmat = rmat + r.scale(x), cmat + c.scale(x)
+        centre.append((rmat, cmat))
+    return centre
 
 
 def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:

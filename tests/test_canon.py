@@ -12,15 +12,17 @@ from sympy.polys.matrices import DomainMatrix
 from sloccanon import canon
 from sloccanon.canon import (CanonicalForm, ILOTriple, PartitionedForm,
                              TensorState, _apply_projector,
-                             _coefficient_sweep, _completion_matrix,
-                             _fitting_projector, _mix, _split_piece,
-                             apply_ilo,
+                             _centre_mod_radical, _coefficient_sweep,
+                             _completion_matrix, _endomorphism_basis,
+                             _fitting_projector, _mix, _split_by_spectrum,
+                             _split_piece, _trace_form_rank, apply_ilo,
                              beta_canonical_check, commuting_pair_canonical,
                              full_rank_reduce,
                              max_rank_combination, nonfull_rank_split,
                              rank_normal_form)
 from sloccanon.errors import (CheckFailed, DimensionMismatch, NoSplitFound,
-                              NotCommuting, NotFullRank, PatternViolation)
+                              NotCommuting, NotFullRank, NotInField,
+                              PatternViolation)
 from sloccanon.exactmat import (Matrix, Scalar,
                                 combination_ranks, eigenvalues_in_field,
                                 jordan_block, jordan_matrix)
@@ -566,9 +568,58 @@ def test_split_piece_on_known_pieces(mats, shapes):
         assert [(pc[0].rows, pc[0].cols) for pc in result] == shapes
 
 
-def test_split_piece_so3_squared_gives_up():
+# L_1 + L_1 in another basis, the piece a scrambled L_1 + L_1 + L_0^T +
+# L_0^T + so(3) leaves: endomorphism algebra M_2(Q(i)) again, and every
+# basis element but the identity has an irreducible quadratic spectrum
+L1_SQUARED_PIECE = [
+    [["1", "0", "5/76", "-29/228"], ["0", "1", "81/38", "-181/114"]],
+    [["-7/114", "371/228", "-157/228", "85/228"],
+     ["31/57", "295/114", "-119/114", "-181/114"]],
+    [["1", "0", "5/76", "-29/228"], ["0", "1", "81/38", "-181/114"]]]
+
+
+def _centre_dim(piece):
+    """dim Z(E/rad E) of the piece's endomorphism algebra E."""
+    basis = _endomorphism_basis(piece)
+    radical = len(basis) - _trace_form_rank(basis)
+    return len(_centre_mod_radical(basis)) - radical
+
+
+def test_split_piece_so3_squared_stays_whole():
+    # homogeneous: a one-dimensional centre of E/rad E certifies it
+    piece = _piece_of_strings(SO3_SQUARED_PIECE)
+    assert _centre_dim(piece) == 1
+    assert _split_piece(piece) is None
+
+
+def test_split_piece_l1_squared_stays_whole():
+    piece = _piece_of_strings(L1_SQUARED_PIECE)
+    with pytest.raises(NotInField):
+        eigenvalues_in_field(_endomorphism_basis(piece)[0][0])
+    assert _centre_dim(piece) == 1
+    assert _split_piece(piece) is None
+
+
+def test_split_piece_irrational_centre_gives_up():
+    # (I, C) with C^2 = 2: E = Q(i)[C] is a field of dimension 2, its own
+    # centre, and no element has a spectrum in Q(i)
+    piece = [Matrix.identity(2), M([[0, 2], [1, 0]])]
+    assert _centre_dim(piece) == 2
     with pytest.raises(NoSplitFound):
-        _split_piece(_piece_of_strings(SO3_SQUARED_PIECE))
+        _split_piece(piece)
+
+
+def test_central_elements_split_two_isotypic_factors():
+    # so(3)^2 + L_1^2: E/rad E is M_2(Q(i)) x M_2(Q(i)), whose centre
+    # Q(i) x Q(i) holds an element with two eigenvalues on a side
+    piece = [Matrix.block_diag([a, b]) for a, b in
+             zip(_piece_of_strings(SO3_SQUARED_PIECE),
+                 _piece_of_strings(L1_SQUARED_PIECE))]
+    assert _centre_dim(piece) == 2
+    parts, unknown = _split_by_spectrum(
+        piece, _centre_mod_radical(_endomorphism_basis(piece)))
+    assert sorted((pc[0].rows, pc[0].cols) for pc in parts) == \
+        [(2, 4), (6, 6)]
 
 
 @pytest.mark.parametrize("p_r,p_c", [

@@ -303,7 +303,8 @@ def test_canonicalize_rank_deficient_golden_bytes(tmp_path, capsys, state,
 # so(3) + so(3) + the 1 x 1 block (1, 2, 3), scrambled by P and Q with
 # entries in {-1, 0, 1}: every summand is rational, but each element of
 # the endomorphism basis of the 6 x 6 remainder piece (an algebra
-# M_2(Q(i))) has an irreducible quadratic spectrum, so the split gives up
+# M_2(Q(i))) has an irreducible quadratic spectrum; the piece stays whole
+# on the one-dimensional centre of E/rad E
 SO3_SQUARED = {"L": 3, "N": 7, "gammas": [
     [[0, 0, 1, -1, -1, -1, 1], [0, -2, 2, -1, 0, -1, -2],
      [2, -1, 0, 2, 3, 3, 0], [-1, 2, -2, -1, -2, -1, 3],
@@ -319,8 +320,6 @@ SO3_SQUARED = {"L": 3, "N": 7, "gammas": [
      [-2, 4, -1, -4, -1, 2, 4]]]}
 
 
-@pytest.mark.xfail(strict=True, reason="a homogeneous piece whose "
-                   "endomorphism basis has irrational spectra ends in exit 3")
 def test_canonicalize_so3_squared_remainder(tmp_path, capsys):
     path = write_json(tmp_path / "s.json", SO3_SQUARED)
     assert main(["canonicalize", path, "--json"]) == 0
