@@ -380,12 +380,17 @@ def _column_space(m: Matrix):
     return [m.column(j) for j in pivots]
 
 
-def _trace_form_rank(basis) -> int:
-    """Rank of G_ab = tr(R_a R_b) + tr(C_a C_b); tr(XY) = vec(X).vec(Y^T)."""
+def _trace_pairing(basis, others) -> Matrix:
+    """G_ab = tr(R_a R'_b) + tr(C_a C'_b); tr(XY) = vec(X).vec(Y^T)."""
     left = Matrix.from_rows([r.entries + c.entries for r, c in basis])
     right = Matrix.from_columns([r.transpose().entries + c.transpose().entries
-                                 for r, c in basis])
-    return (left @ right).rank()
+                                 for r, c in others])
+    return left @ right
+
+
+def _trace_form_rank(basis) -> int:
+    """Rank of the trace form of the basis with itself."""
+    return _trace_pairing(basis, basis).rank()
 
 
 def _split_piece(piece):
@@ -460,18 +465,10 @@ def _centre_mod_radical(basis):
                    for (ra, ca), (rb, cb) in itertools.combinations(basis, 2)]
     if not commutators:
         return list(basis)
-    left = Matrix.from_rows([r.entries + c.entries for r, c in basis])
-    right = Matrix.from_columns([r.transpose().entries + c.transpose().entries
-                                 for r, c in commutators])
-    centre = []
-    for coeffs in (left @ right).transpose().nullspace():
-        rmat = Matrix.zero(basis[0][0].rows, basis[0][0].rows)
-        cmat = Matrix.zero(basis[0][1].rows, basis[0][1].rows)
-        for x, (r, c) in zip(coeffs, basis):
-            if not x.is_zero():
-                rmat, cmat = rmat + r.scale(x), cmat + c.scale(x)
-        centre.append((rmat, cmat))
-    return centre
+    coeffs = Matrix.from_rows(
+        _trace_pairing(basis, commutators).transpose().nullspace())
+    return list(zip(_mix(coeffs, [r for r, _ in basis]),
+                    _mix(coeffs, [c for _, c in basis])))
 
 
 def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:

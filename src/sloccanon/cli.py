@@ -10,9 +10,8 @@ undecided/degenerate, 3 parse or usage error, 4 eigenvalue outside the
 Gaussian rationals, 5 non-commuting reduced pair, 6 internal error (an
 unexpected exception, reported in one line).  A negative parameter
 is written with "=", as in ``--z2=-1/2``; ``--z2 -1/2`` reads as a
-missing value and exits 3.  ``selftest --jobs K`` starts at most
-min(K, count, CPU count) worker processes; K below 1 exits 3, and so
-does a count below 1.
+missing value and exits 3.  ``selftest`` runs its trials in one
+process, in seed order; a count below 1 exits 3.
 
 canonicalize is deterministic.  On a rank-deficient state its maximal
 rank and the remainder's rank condition are certified, not sampled:
@@ -34,10 +33,12 @@ from fractions import Fraction
 from .errors import (DegenerateParameter, NotCommuting, NotInField,
                      ParseError, SloccError)
 from .exactmat import Matrix, Scalar
-from .canon import (CanonicalForm, TensorState, beta_canonical_check,
-                    commuting_pair_canonical, full_rank_reduce,
-                    max_rank_combination, nonfull_rank_split)
+from .canon import (AClassRun, CanonicalForm, TensorState,
+                    beta_canonical_check, commuting_pair_canonical,
+                    full_rank_reduce, max_rank_combination,
+                    nonfull_rank_split)
 from .harness import TRIAL_SUITES, run_trials, write_jsonl
+from .nilpoly import TruncPoly
 from .symmetry import SymmetryParams, apply_all, orbit_equivalent
 
 EXIT_OK = 0
@@ -173,9 +174,6 @@ def canon_to_json(cf: CanonicalForm):
 
 
 def canon_from_json(obj) -> CanonicalForm:
-    from .canon import AClassRun
-    from .nilpoly import TruncPoly
-
     if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list) \
             or not obj["blocks"]:
         raise ParseError("canon file: expected a non-empty 'blocks' list")
@@ -355,8 +353,6 @@ def cmd_symmetry_map(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     suites = list(TRIAL_SUITES) if args.profile == "all" else [args.profile]
@@ -364,7 +360,7 @@ def cmd_selftest(args) -> int:
     failures = 0
     lines = []
     for name in suites:
-        records = run_trials(args.count, seed=args.seed, jobs=args.jobs,
+        records = run_trials(args.count, seed=args.seed,
                              trial=TRIAL_SUITES[name])
         for r in records:
             r["suite"] = name
@@ -433,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the randomized trial suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--count", type=int, default=25)
     p.add_argument("--profile", default="all",
                    choices=["all"] + list(TRIAL_SUITES))

@@ -689,16 +689,14 @@ def jordan_decompose(m: Matrix, hints=None):
     columns = []
     blocks = []
     for lam, mult in mults:
-        b = m - Matrix.identity(n).scale(lam)
-        powers = [Matrix.identity(n)]
-        nulls = [[]]
-        dims = [0]
-        while dims[-1] < mult:
+        e = Matrix.identity(n)
+        b = m - e.scale(lam)
+        powers = [e, b]
+        nulls = [[], b.nullspace()]
+        while len(nulls[-1]) < mult:
             powers.append(b @ powers[-1])
-            basis = powers[-1].nullspace()
-            nulls.append(basis)
-            dims.append(len(basis))
-        top = len(dims) - 1
+            nulls.append(powers[-1].nullspace())
+        top = len(nulls) - 1
         chains = []  # (top vector, height), heights non-increasing
         for k in range(top, 0, -1):
             known = nulls[k - 1] + [_apply(powers[h - k], v)

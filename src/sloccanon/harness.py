@@ -8,7 +8,6 @@ its slots by T entry by entry, and re-canonicalize from scratch.
 from __future__ import annotations
 
 import json
-import os
 import random
 from fractions import Fraction
 
@@ -257,20 +256,9 @@ TRIAL_SUITES = {
 }
 
 
-def run_trials(count: int, seed: int = 0, jobs: int = 1,
-               trial=symmetry_trial):
-    """Records of count trials in seed order.
-
-    At most min(jobs, count, CPU count) worker processes are started.
-    """
-    seeds = [seed * 1_000_003 + i for i in range(count)]
-    workers = min(jobs, count, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(trial, seeds))
-    return [trial(s) for s in seeds]
+def run_trials(count: int, seed: int = 0, trial=symmetry_trial):
+    """Records of count trials in seed order."""
+    return [trial(seed * 1_000_003 + i) for i in range(count)]
 
 
 def write_jsonl(records, path):

@@ -60,11 +60,6 @@ def matrix_of_params(sp: SymmetryParams) -> Matrix:
     ])
 
 
-def _row_of_params(sp: SymmetryParams):
-    t = matrix_of_params(sp)
-    return ((t[0, 0], t[0, 1], t[0, 2]), (t[1, 1], t[1, 2]), t[2, 2])
-
-
 # ---------------------------------------------------------------------------
 # Single-block functional calculus
 # ---------------------------------------------------------------------------
@@ -98,23 +93,6 @@ def _block_transform(lam, f: TruncPoly, trow):
     return lam2, compose(ha, rev)
 
 
-def _apply_rows(cf: CanonicalForm, trow) -> CanonicalForm:
-    blocks = cf.block_data()
-    if cf.is_derogatory():
-        return _matrix_route(cf, trow)
-    new_blocks = []
-    for lam, size, coeffs in blocks:
-        lam2, f2 = _block_transform(lam, TruncPoly(size, coeffs), trow)
-        new_blocks.append((lam2, size, f2.coeffs))
-    distinct_in = len(set(b[0].sort_key() for b in blocks))
-    distinct_out = len(set(b[0].sort_key() for b in new_blocks))
-    if distinct_out < distinct_in:
-        # collision of output eigenvalues: gauge fixing needs the
-        # deterministic matrix pipeline
-        return _matrix_route(cf, trow, hints=[b[0] for b in new_blocks])
-    return CanonicalForm.from_blocks(new_blocks)
-
-
 def _matrix_route(cf: CanonicalForm, trow, hints=None) -> CanonicalForm:
     (t11, t12, t13), (t22, t23), t33 = trow
     n = cf.dim
@@ -137,31 +115,28 @@ def _matrix_route(cf: CanonicalForm, trow, hints=None) -> CanonicalForm:
 # Public maps
 # ---------------------------------------------------------------------------
 
-def apply_T_EJ(cf: CanonicalForm, z1) -> CanonicalForm:
-    z1 = _coerce(z1)
-    return _apply_rows(cf, ((ONE, z1, ZERO), (ONE, ZERO), ONE))
-
-
-def apply_T_EA(cf: CanonicalForm, z2) -> CanonicalForm:
-    z2 = _coerce(z2)
-    return _apply_rows(cf, ((ONE, ZERO, z2), (ONE, ZERO), ONE))
-
-
-def apply_T_JA(cf: CanonicalForm, z3) -> CanonicalForm:
-    z3 = _coerce(z3)
-    return _apply_rows(cf, ((ONE, ZERO, ZERO), (ONE, z3), ONE))
-
-
-def apply_rescale(cf: CanonicalForm, d2, d3) -> CanonicalForm:
-    d2, d3 = _coerce(d2), _coerce(d3)
-    if d2.is_zero() or d3.is_zero():
-        raise ZeroScale("rescale factors must be nonzero")
-    return _apply_rows(cf, ((ONE, ZERO, ZERO), (d2, ZERO), d3))
-
-
 def apply_all(cf: CanonicalForm, sp: SymmetryParams) -> CanonicalForm:
-    """The group element's map: the single factored T of the group."""
-    return _apply_rows(cf, _row_of_params(sp))
+    """The group element's map: the single factored T of the group.
+
+    A one-parameter map is the element whose other parameters are the
+    identity's, as in SymmetryParams(z1, 0, 0, 1, 1) for the E-J shear.
+    """
+    t = matrix_of_params(sp)
+    trow = ((t[0, 0], t[0, 1], t[0, 2]), (t[1, 1], t[1, 2]), t[2, 2])
+    if cf.is_derogatory():
+        return _matrix_route(cf, trow)
+    blocks = cf.block_data()
+    new_blocks = []
+    for lam, size, coeffs in blocks:
+        lam2, f2 = _block_transform(lam, TruncPoly(size, coeffs), trow)
+        new_blocks.append((lam2, size, f2.coeffs))
+    distinct_in = len(set(b[0].sort_key() for b in blocks))
+    distinct_out = len(set(b[0].sort_key() for b in new_blocks))
+    if distinct_out < distinct_in:
+        # collision of output eigenvalues: gauge fixing needs the
+        # deterministic matrix pipeline
+        return _matrix_route(cf, trow, hints=[b[0] for b in new_blocks])
+    return CanonicalForm.from_blocks(new_blocks)
 
 
 def mobius_2nn(lam, t11, t12, t22) -> Scalar:

@@ -23,8 +23,7 @@ from sloccanon.harness import (_rand_scalar, gen_canonical, gen_params,
                                mobius_trial, run_trials, symmetry_trial)
 from sloccanon.nilpoly import TruncPoly, compose, mul, reciprocal, \
     shifted_reversion
-from sloccanon.symmetry import (SymmetryParams, apply_T_EA, apply_T_EJ,
-                                apply_T_JA, apply_all, matrix_of_params)
+from sloccanon.symmetry import SymmetryParams, apply_all, matrix_of_params
 
 
 def sc(re, im=0):
@@ -55,7 +54,7 @@ def test_criterion_1_ja_golden_map():
     zs = [sc(Fraction(p, q)) for p, q in
           ((1, 1), (-1, 1), (2, 1), (1, 3), (-1, 3), (5, 7), (-3, 4))]
     start = time.perf_counter()
-    outs = [apply_T_JA(cf, z) for z in zs]
+    outs = [apply_all(cf, SymmetryParams(0, 0, z, 1, 1)) for z in zs]
     elapsed = time.perf_counter() - start
     for z, out in zip(zs, outs):
         c = sc(1) + sc(2) * z
@@ -68,7 +67,7 @@ def test_criterion_1_ja_golden_map():
     reduced = full_rank_reduce(apply_ilo(cf.assemble_state(), ops))
     oracle, _ = commuting_pair_canonical(reduced.gammas[1],
                                          reduced.gammas[2])
-    assert oracle == apply_T_JA(cf, z)
+    assert oracle == apply_all(cf, sp)
     assert elapsed / len(zs) < 0.001
 
 
@@ -88,9 +87,9 @@ def test_criterion_2_ej_ea_closed_forms():
         d2 = sc(1) + z * (a0 - a1 * lam)
         if c1.is_zero() or c2.is_zero() or d2.is_zero():
             continue
-        assert block_tuple(apply_T_EJ(cf, z)) == \
+        assert block_tuple(apply_all(cf, SymmetryParams(z, 0, 0, 1, 1))) == \
             (lam / c1, a0 / c1, a1 - a0 * z + a1 * z * lam, a2 * c1 ** 3)
-        assert block_tuple(apply_T_EA(cf, z)) == \
+        assert block_tuple(apply_all(cf, SymmetryParams(0, z, 0, 1, 1))) == \
             (lam / c2, a0 / c2, a1 / d2, a2 * c2 ** 3 / d2 ** 3)
         done += 1
     assert time.perf_counter() - start < 1.0

@@ -17,7 +17,6 @@ from sloccanon.cli import (canon_from_json, canon_to_json, main, parse_scalar,
                            state_to_json)
 from sloccanon.errors import ParseError
 from sloccanon.exactmat import Matrix, Scalar
-from test_harness import recording_pool  # noqa: F401  (a fixture)
 
 
 def sc(re, im=0):
@@ -466,6 +465,8 @@ def test_canonicalize_unwritable_output_is_a_parse_error(tmp_path, capsys):
     ["selftest", "--count", "x"],
     ["nosuchcommand"],
     [],
+    # selftest runs serially since its --jobs option went
+    ["selftest", "--jobs", "2"],
 ])
 def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, argv):
     files = {"state": write_json(tmp_path / "s.json", state_obj(
@@ -616,14 +617,6 @@ def test_selftest_single_suite_with_report(tmp_path, capsys):
     assert all(r["suite"] == "nilpoly" for r in records)
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_selftest_refuses_fewer_than_one_job(capsys, jobs):
-    assert main(["selftest", "--profile", "nilpoly", "--count", "2",
-                 f"--jobs={jobs}"]) == 3
-    assert capsys.readouterr().err == \
-        f"parse error: --jobs must be at least 1, got {jobs}\n"
-
-
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_selftest_refuses_fewer_than_one_trial(capsys, count):
     # a self-test that ran nothing must not read as a pass
@@ -633,13 +626,6 @@ def test_selftest_refuses_fewer_than_one_trial(capsys, count):
     assert captured.out == ""
     assert captured.err == \
         f"parse error: --count must be at least 1, got {count}\n"
-
-
-def test_selftest_jobs_never_exceed_the_trial_count(capsys, recording_pool):
-    assert main(["selftest", "--profile", "nilpoly", "--count", "2",
-                 "--jobs", "100000"]) == 0
-    assert recording_pool.sizes == [2]
-    assert capsys.readouterr().out == "nilpoly: pass=2\nfailures: 0\n"
 
 
 # -- entry point --------------------------------------------------------------
@@ -695,8 +681,8 @@ def test_closed_form_commands_do_not_load_sympy(tmp_path):
 
 
 def test_cli_import_does_not_load_the_process_pool():
-    # only selftest --jobs above 1 starts worker processes, so the pool
-    # and multiprocessing are imported there and nowhere else
+    # selftest runs its trials in one process, so no path of the CLI
+    # needs the pool or multiprocessing, and importing it loads neither
     code = "\n".join([
         "import sys",
         "import sloccanon.cli",

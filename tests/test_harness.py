@@ -1,12 +1,10 @@
 """Deterministic generators and the randomized trial runner."""
 
-import concurrent.futures
 import json
 import random
 
 import pytest
 
-from sloccanon import harness
 from sloccanon.canon import (ILOTriple, apply_ilo, commuting_pair_canonical,
                              full_rank_reduce)
 from sloccanon.errors import PatternViolation, SloccError
@@ -116,44 +114,6 @@ def test_run_trials_and_report(tmp_path):
     write_jsonl(records, path)
     lines = path.read_text().splitlines()
     assert [json.loads(line) for line in lines] == records
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    return RecordingPool
-
-
-def test_run_trials_bounds_its_workers(recording_pool):
-    serial = run_trials(6, seed=3, trial=nilpoly_trial)
-    assert recording_pool.sizes == []
-    assert run_trials(3, seed=3, jobs=100000, trial=nilpoly_trial) == \
-        serial[:3]
-    assert run_trials(6, seed=3, jobs=100000, trial=nilpoly_trial) == serial
-    assert run_trials(6, seed=3, jobs=2, trial=nilpoly_trial) == serial
-    # min(jobs, count, cpu_count)
-    assert recording_pool.sizes == [3, 4, 2]
 
 
 def test_trial_suites_registry():

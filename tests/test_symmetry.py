@@ -12,9 +12,8 @@ from sloccanon.cli import main
 from sloccanon.errors import DegenerateParameter, ZeroScale
 from sloccanon.exactmat import Matrix, Scalar
 from sloccanon.nilpoly import TruncPoly
-from sloccanon.symmetry import (OrbitDecision, SymmetryParams, apply_T_EA,
-                                apply_T_EJ, apply_T_JA, _block_transform,
-                                apply_all, apply_rescale, matrix_of_params,
+from sloccanon.symmetry import (OrbitDecision, SymmetryParams,
+                                _block_transform, apply_all, matrix_of_params,
                                 mobius_2nn, orbit_equivalent)
 from test_nilpoly import K, T, at_point, in_field
 
@@ -43,13 +42,13 @@ def test_ej_golden():
     # (lam, a0, a1, a2) with z1: lam and a0 divide by 1 + z1*lam,
     # a1 picks up the shear term, a2 scales by the cube
     cf = single_block(1, 2, 3, 4)
-    out = apply_T_EJ(cf, sc(1))
+    out = apply_all(cf, SymmetryParams(1, 0, 0, 1, 1))
     assert tuple_of(out) == (sc(Fraction(1, 2)), sc(1), sc(4), sc(32))
 
 
 def test_ea_golden():
     cf = single_block(1, 2, 1, 4)
-    out = apply_T_EA(cf, sc(1))
+    out = apply_all(cf, SymmetryParams(0, 1, 0, 1, 1))
     # lam and a0 divide by 1 + z2*a0 = 3; a1 by 1 + z2*(a0 - a1*lam) = 2;
     # a2 scales by 3**3 / 2**3
     assert tuple_of(out) == (sc(Fraction(1, 3)), sc(Fraction(2, 3)),
@@ -60,26 +59,27 @@ def test_ja_golden():
     # the worked 1x3-parameter example: (1, 0, 2, 3) under z3
     cf = single_block(1, 0, 2, 3)
     z3 = sc(1)
-    out = apply_T_JA(cf, z3)
+    out = apply_all(cf, SymmetryParams(0, 0, z3, 1, 1))
     c = sc(1) + sc(2) * z3
     assert tuple_of(out) == (sc(1), sc(0), sc(2) / c, sc(3) / c ** 3)
 
 
 def test_rescale_golden():
     cf = single_block(1, 2, 3, 4)
-    out = apply_rescale(cf, sc(5), sc(7))
+    out = apply_all(cf, SymmetryParams(0, 0, 0, 5, 7))
     assert tuple_of(out) == (sc(5), sc(14), sc(Fraction(21, 5)),
                              sc(Fraction(28, 25)))
 
 
 def test_rescale_rejects_zero():
     with pytest.raises(ZeroScale):
-        apply_rescale(single_block(1, 2), sc(0), sc(1))
+        apply_all(single_block(1, 2), SymmetryParams(0, 0, 0, sc(0), 1))
 
 
 def test_ej_degenerate_parameter():
     with pytest.raises(DegenerateParameter):
-        apply_T_EJ(single_block(1, 0, 2), sc(-1))  # 1 + z1*lam = 0
+        # 1 + z1*lam = 0
+        apply_all(single_block(1, 0, 2), SymmetryParams(-1, 0, 0, 1, 1))
 
 
 # -- group structure --------------------------------------------------------
@@ -89,19 +89,19 @@ def test_ej_inverse(lam, z):
     cf = single_block(lam, 3, 1, 2)
     if (sc(1) + sc(z) * sc(lam)).is_zero():
         return
-    out = apply_T_EJ(cf, sc(z))
+    out = apply_all(cf, SymmetryParams(z, 0, 0, 1, 1))
     lam2 = out.block_data()[0][0]
     if (sc(1) - sc(z) * lam2).is_zero():
         return
-    assert apply_T_EJ(out, -sc(z)) == cf
+    assert apply_all(out, SymmetryParams(-z, 0, 0, 1, 1)) == cf
 
 
 @given(small_fractions, small_fractions)
 def test_ja_inverse(lam, z):
     cf = single_block(lam, 0, 2, 5)
     try:
-        out = apply_T_JA(cf, sc(z))
-        back = apply_T_JA(out, -sc(z))
+        out = apply_all(cf, SymmetryParams(0, 0, z, 1, 1))
+        back = apply_all(out, SymmetryParams(0, 0, -z, 1, 1))
     except DegenerateParameter:
         return
     assert back == cf
@@ -110,8 +110,8 @@ def test_ja_inverse(lam, z):
 @given(nonzero_fractions, nonzero_fractions)
 def test_rescale_inverse(d2, d3):
     cf = single_block(2, 3, 1, 7)
-    out = apply_rescale(cf, sc(d2), sc(d3))
-    assert apply_rescale(out, sc(d2).inv(), sc(d3).inv()) == cf
+    out = apply_all(cf, SymmetryParams(0, 0, 0, d2, d3))
+    assert apply_all(out, SymmetryParams(0, 0, 0, 1 / d2, 1 / d3)) == cf
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,8 +121,11 @@ def test_composite_matches_elementary_chain(z1, z2, z3, d2, d3):
     cf = single_block(1, 0, 2, 3)
     sp = SymmetryParams(sc(z1), sc(z2), sc(z3), sc(d2), sc(d3))
     try:
-        staged = apply_T_EJ(apply_T_EA(apply_T_JA(
-            apply_rescale(cf, sp.d2, sp.d3), sp.z3), sp.z2), sp.z1)
+        staged = apply_all(cf, SymmetryParams(0, 0, 0, sp.d2, sp.d3))
+        for elementary in (SymmetryParams(0, 0, sp.z3, 1, 1),
+                           SymmetryParams(0, sp.z2, 0, 1, 1),
+                           SymmetryParams(sp.z1, 0, 0, 1, 1)):
+            staged = apply_all(staged, elementary)
     except DegenerateParameter:
         return
     assert apply_all(cf, sp) == staged
