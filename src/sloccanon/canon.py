@@ -17,7 +17,7 @@ from .errors import (CheckFailed, DimensionMismatch, NoSplitFound,
                      NotCommuting, NotFullRank, NotInField, PatternViolation)
 from .exactmat import (Matrix, Scalar, ZERO, ONE, _coerce, _kernel,
                        combination_ranks, eigenvalues_in_field,
-                       jordan_matrix, jordan_decompose)
+                       jordan_matrix, jordan_decompose, vec_rows)
 from .nilpoly import (TruncPoly, check_commutant_grid,
                       poly_matrix_to_commutant)
 
@@ -328,9 +328,7 @@ def commuting_pair_canonical(a2: Matrix, a3: Matrix, hints=None):
 def rank_normal_form(m: Matrix):
     """(p, q, r) invertible with p @ m @ q == diag(I_r, 0)."""
     n_rows, n_cols = m.rows, m.cols
-    aug = Matrix.from_rows([m.row(i) + Matrix.identity(n_rows).row(i)
-                            for i in range(n_rows)])
-    red, aug_pivots = aug.rref()
+    red, aug_pivots = m.augment(Matrix.identity(n_rows)).rref()
     p = Matrix.from_rows([r[n_cols:] for r in red])
     # x = p @ m, the first n_cols columns of red, is the reduced echelon
     # form of m: its pivots are those of [m | I] that fall in m's columns
@@ -382,10 +380,8 @@ def _column_space(m: Matrix):
 
 def _trace_pairing(basis, others) -> Matrix:
     """G_ab = tr(R_a R'_b) + tr(C_a C'_b); tr(XY) = vec(X).vec(Y^T)."""
-    left = Matrix.from_rows([r.entries + c.entries for r, c in basis])
-    right = Matrix.from_columns([r.transpose().entries + c.transpose().entries
-                                 for r, c in others])
-    return left @ right
+    right = vec_rows([(r.transpose(), c.transpose()) for r, c in others])
+    return vec_rows(basis) @ right.transpose()
 
 
 def _trace_form_rank(basis) -> int:

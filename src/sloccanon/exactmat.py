@@ -1,17 +1,21 @@
 """Exact dense linear algebra over Gaussian rationals.
 
-Scalars are complex numbers with Fraction real and imaginary parts, so
-every operation here (rank, inverse, characteristic polynomial, Jordan
-decomposition, commutant bases) is exact.  Nothing in this module ever
-touches floating point.  The characteristic polynomial comes from
-Berkowitz's division-free algorithm.
+Scalars are complex numbers with Fraction real and imaginary parts; they
+are the entries that the rest of the program reads.  A Matrix holds its
+entries in one integer representation: a positive int denominator den
+and two flat int tuples, the real and imaginary numerators, with
+gcd(den, every numerator) = 1.  Every operation here (products, rank,
+inverse, characteristic polynomial, Jordan decomposition, commutant
+bases) runs exactly on those ints, and a real matrix skips the
+imaginary half.  Nothing in this module ever touches floating point.
+The characteristic polynomial comes from Berkowitz's division-free
+algorithm, run over the Gaussian integers on the numerators.
 
 All elimination (rref, rank, nullspace, inverse, det and the rank
-sweeps of ``combination_ranks``) runs through one kernel, ``_eliminate``.
-It scales each row by the least common multiple of its denominators,
-which leaves the row space unchanged, and then runs fraction-free
-Gauss-Jordan elimination over the Gaussian integers: every row is
-brought to the current pivot and divided exactly by the previous one
+sweeps of ``combination_ranks``) runs through one kernel, ``_eliminate``,
+on the numerators, whose row space is that of the matrix: fraction-free
+Gauss-Jordan elimination over the Gaussian integers, which brings every
+row to the current pivot and divides exactly by the previous one
 (Bareiss, Math. Comp. 22, 1968; the Gauss-Jordan form is that of Nakos,
 Turner and Williams, 1997).  The result is the reduced row echelon form
 times one common denominator.  Because the reduced row echelon form of a
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .errors import (CheckFailed, DimensionMismatch, NotInField,
                      SingularMatrix)
@@ -152,23 +157,111 @@ def _coerce(x) -> Scalar:
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """Immutable dense matrix with Scalar entries, row-major."""
+_F0 = Fraction(0)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _quotient(p: int, q: int, dr: int, di: int = 0) -> Scalar:
+    """The Scalar (p + q*i) / (dr + di*i) for ints p, q, dr, di."""
+    if not (p or q):
+        return ZERO
+    if di:
+        p, q, dr = p * dr + q * di, q * dr - p * di, dr * dr + di * di
+    return Scalar(Fraction(p, dr), Fraction(q, dr) if q else _F0)
+
+
+def _init(m, rows, cols, den, re, im, entries=None):
+    """Set the slots of m, already reduced; returns m."""
+    setattr_ = object.__setattr__
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "den", den)
+    setattr_(m, "re", re)
+    setattr_(m, "im", im)
+    setattr_(m, "_entries", entries)
+    return m
+
+
+def _new(rows, cols, den, re, im, entries=None) -> "Matrix":
+    """A Matrix from tuples already reduced."""
+    return _init(object.__new__(Matrix), rows, cols, den, re, im, entries)
+
+
+def _make(rows, cols, den, re, im) -> "Matrix":
+    """The Matrix of entries (re[k] + im[k]*i) / den, den > 0, reduced."""
+    re, im = tuple(re), tuple(im)
+    g = math.gcd(den, *re, *im)
+    if g != 1:
+        den //= g
+        re = tuple(x // g for x in re)
+        im = tuple(x // g for x in im)
+    return _new(rows, cols, den, re, im)
+
+
+def _divided(rows, cols, re, im, dr, di) -> "Matrix":
+    """The Matrix of entries (re[k] + im[k]*i) / (dr + di*i), d != 0."""
+    if di:
+        re, im, dr = ([p * dr + q * di for p, q in zip(re, im)],
+                      [q * dr - p * di for p, q in zip(re, im)],
+                      dr * dr + di * di)
+    elif dr < 0:
+        re, im, dr = [-x for x in re], [-x for x in im], -dr
+    return _make(rows, cols, dr, re, im)
+
+
+def _concat(mats):
+    """(den, re, im): the numerators of mats one after another, brought
+    to their least common denominator, which keeps them reduced."""
+    den = math.lcm(*(m.den for m in mats))
+    return (den, tuple(x * (den // m.den) for m in mats for x in m.re),
+            tuple(x * (den // m.den) for m in mats for x in m.im))
+
+
+def _lin(a, fa, b, fb):
+    """fa * a + fb * b for int sequences a and b."""
+    return [x * fa + y * fb for x, y in zip(a, b)]
+
+
+def _products(a, b, n, k, m):
+    """The flat n x m int product of the flat n x k and k x m a and b."""
+    a_rows = [a[i * k:(i + 1) * k] for i in range(n)]
+    b_cols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, r, c)) for r in a_rows for c in b_cols]
+
+
+class Matrix:
+    """Immutable dense matrix over the Gaussian rationals, row-major.
+
+    Entry k is (re[k] + im[k]*i) / den, with den a positive int and re,
+    im flat tuples of ints.  gcd(den, every numerator) is 1, and den is 1
+    for the zero matrix, so each matrix has one representation, which ==
+    and hash compare.  The arithmetic runs on these ints, and a real
+    matrix (im all zero) skips the imaginary half.  The Scalar entries
+    are built once, on the first read.
+    """
+
+    __slots__ = ("rows", "cols", "den", "re", "im", "_entries")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(_coerce(e) for e in entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        # lcm of reduced denominators: no prime of it divides every
+        # numerator, so the representation is already reduced
+        den = math.lcm(*(x.re.denominator for x in entries),
+                       *(x.im.denominator for x in entries))
+        _init(self, rows, cols, den,
+              tuple(x.re.numerator * (den // x.re.denominator)
+                    for x in entries),
+              tuple(x.im.numerator * (den // x.im.denominator)
+                    for x in entries),
+              entries)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -187,43 +280,53 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [ONE if i == j else ZERO
-                             for i in range(n) for j in range(n)])
+        return _new(n, n, 1, tuple(int(i == j) for i in range(n)
+                                   for j in range(n)), (0,) * (n * n))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return _new(rows, cols, 1, (0,) * (rows * cols), (0,) * (rows * cols))
 
     @staticmethod
     def diagonal(diag) -> "Matrix":
-        diag = [_coerce(d) for d in diag]
-        n = len(diag)
-        return Matrix(n, n, [diag[i] if i == j else ZERO
-                             for i in range(n) for j in range(n)])
+        d = Matrix.from_rows([diag])
+        n = d.cols
+        re, im = [0] * (n * n), [0] * (n * n)
+        re[::n + 1], im[::n + 1] = d.re, d.im
+        return _new(n, n, d.den, tuple(re), tuple(im))
 
     @staticmethod
     def block_diag(blocks) -> "Matrix":
         blocks = list(blocks)
         rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        out = [[ZERO] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        den, flat_re, flat_im = _concat(blocks)
+        re, im = [0] * (rows * cols), [0] * (rows * cols)
+        k = r0 = c0 = 0
         for b in blocks:
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b[i, j]
+                start = (r0 + i) * cols + c0
+                re[start:start + b.cols] = flat_re[k:k + b.cols]
+                im[start:start + b.cols] = flat_im[k:k + b.cols]
+                k += b.cols
             r0 += b.rows
             c0 += b.cols
-        return Matrix.from_rows(out)
+        return _new(rows, cols, den, tuple(re), tuple(im))
 
     @staticmethod
     def from_columns(cols) -> "Matrix":
-        cols = [list(c) for c in cols]
-        n = len(cols[0])
-        return Matrix.from_rows([[cols[j][i] for j in range(len(cols))]
-                                 for i in range(n)])
+        return Matrix.from_rows(cols).transpose()
 
     # -- access -------------------------------------------------------------
+
+    @property
+    def entries(self):
+        """The entries as a row-major tuple of Scalars."""
+        if self._entries is None:
+            den = self.den
+            object.__setattr__(self, "_entries", tuple(
+                _quotient(p, q, den) for p, q in zip(self.re, self.im)))
+        return self._entries
 
     def __getitem__(self, ij):
         i, j = ij
@@ -233,63 +336,90 @@ class Matrix:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j):
-        return [self[i, j] for i in range(self.rows)]
+        return list(self.entries[j::self.cols])
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
-        return Matrix(len(row_idx), len(col_idx),
-                      [self[i, j] for i in row_idx for j in col_idx])
+        idx = [i * self.cols + j for i in row_idx for j in col_idx]
+        return _make(len(row_idx), len(col_idx), self.den,
+                     [self.re[k] for k in idx], [self.im[k] for k in idx])
+
+    def augment(self, other: "Matrix") -> "Matrix":
+        """The matrix [self | other] of the columns of both."""
+        if self.rows != other.rows:
+            raise DimensionMismatch("augment: row counts differ")
+        return _new(self.cols + other.cols, self.rows, *_concat(
+            [self.transpose(), other.transpose()])).transpose()
 
     # -- algebra ------------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.re, self.im))
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("add: shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        im = (_lin(self.im, fa, other.im, fb)
+              if any(self.im) or any(other.im) else self.im)
+        return _make(self.rows, self.cols, den,
+                     _lin(self.re, fa, other.re, fb), im)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-e for e in self.entries])
+        return _new(self.rows, self.cols, self.den,
+                    tuple(-x for x in self.re), tuple(-x for x in self.im))
 
     def scale(self, s) -> "Matrix":
         s = _coerce(s)
-        return Matrix(self.rows, self.cols, [s * e for e in self.entries])
+        sd = math.lcm(s.re.denominator, s.im.denominator)
+        sr = s.re.numerator * (sd // s.re.denominator)
+        si = s.im.numerator * (sd // s.im.denominator)
+        re, im = self.re, self.im
+        if not si:
+            return _make(self.rows, self.cols, self.den * sd,
+                         [x * sr for x in re], [y * sr for y in im])
+        return _make(self.rows, self.cols, self.den * sd,
+                     _lin(re, sr, im, -si), _lin(re, si, im, sr))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul: inner dimensions differ")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    aik = ai[k]
-                    if not aik.is_zero():
-                        acc = acc + aik * b[k][j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+        shape = self.rows, self.cols, other.cols
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        re = _products(ar, br, *shape)
+        if any(bi):
+            im = _products(ar, bi, *shape)
+            if any(ai):
+                re = map(sub, re, _products(ai, bi, *shape))
+                im = map(add, im, _products(ai, br, *shape))
+        elif any(ai):
+            im = _products(ai, br, *shape)
+        else:
+            im = (0,) * (self.rows * other.cols)
+        return _make(self.rows, other.cols, self.den * other.den, re, im)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows([[self[i, j] for i in range(self.rows)]
-                                 for j in range(self.cols)])
+        c, entries = self.cols, self._entries
+        return _new(c, self.rows, self.den,
+                    tuple(x for j in range(c) for x in self.re[j::c]),
+                    tuple(x for j in range(c) for x in self.im[j::c]),
+                    entries and tuple(x for j in range(c)
+                                      for x in entries[j::c]))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not (any(self.re) or any(self.im))
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(e) for e in self.row(i)) + "]"
@@ -298,37 +428,72 @@ class Matrix:
 
     # -- elimination-based operations --------------------------------------
 
+    def _rows(self):
+        """(re, im, content): the numerator rows, each divided by the gcd
+        of its entries, and the product of those gcds; im is None for a
+        real matrix.  Smaller rows keep the minors of the elimination
+        small, and scaling a row leaves the row space as it is."""
+        c, content = self.cols, 1
+        re, im = [], []
+        for i in range(self.rows):
+            rr, ri = self.re[i * c:(i + 1) * c], self.im[i * c:(i + 1) * c]
+            g = math.gcd(*rr, *ri)
+            if g > 1:
+                rr, ri = [x // g for x in rr], [x // g for x in ri]
+                content *= g
+            re.append(rr)
+            im.append(ri)
+        return re, im if any(self.im) else None, content
+
+    def _reduce(self):
+        """(re, im, den, pivots) of _eliminate on the rows of _rows."""
+        re, im, _ = self._rows()
+        den, pivots = _eliminate(re, im, self.cols)
+        return re, im, den, pivots
+
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""
-        re, im, _ = _integer_rows(self)
-        den, pivots = _eliminate(re, im, self.cols)
-        return ([[_quotient(p, q, den) for p, q in zip(rr, ri)]
+        re, im, (dr, di), pivots = self._reduce()
+        if im is None:
+            return [[_quotient(p, 0, dr) for p in rr] for rr in re], pivots
+        return ([[_quotient(p, q, dr, di) for p, q in zip(rr, ri)]
                  for rr, ri in zip(re, im)], pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._reduce()[3])
 
     def nullspace(self):
         """Deterministic basis of the right nullspace (list of columns)."""
-        return _kernel(*self.rref(), self.cols)
+        re, im, (dr, di), pivots = self._reduce()
+        # _kernel reads only the free columns of the pivot rows
+        free = [c for c in range(self.cols) if c not in pivots]
+        rows = [{c: _quotient(re[r][c], 0 if im is None else im[r][c],
+                              dr, di) for c in free}
+                for r in range(len(pivots))]
+        return _kernel(rows, pivots, self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise SingularMatrix("inverse of non-square matrix")
         n = self.rows
-        aug = [self.row(i) + Matrix.identity(n).row(i) for i in range(n)]
-        m, pivots = Matrix.from_rows(aug).rref()
+        # [m | I] reduces to d [I | m^-1], d the Gaussian integer den
+        re, im, (dr, di), pivots = \
+            self.augment(Matrix.identity(n))._reduce()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix.from_rows([r[n:] for r in m])
+        return _divided(n, n, [x for r in re for x in r[n:]],
+                        (0,) * (n * n) if im is None else
+                        [x for r in im for x in r[n:]], dr, di)
 
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise DimensionMismatch("det of non-square matrix")
-        re, im, scale = _integer_rows(self)
+        re, im, content = self._rows()
         (dr, di), pivots = _eliminate(re, im, self.cols)
         if len(pivots) < self.rows:
             return ZERO
+        # the kernel's den is the determinant of the rows it was given
+        dr, di, scale = dr * content, di * content, self.den ** self.rows
         return Scalar(Fraction(dr, scale), Fraction(di, scale))
 
     def char_poly(self):
@@ -339,80 +504,104 @@ class Matrix:
         polynomial of each leading principal k x k submatrix is the
         product of a lower-triangular Toeplitz matrix, built from the new
         row, column and corner entry, with that of the (k-1) x (k-1) one.
+        It runs over Z[i] on the numerators N = den * m; the coefficient
+        of x^k in det(x - N) is den^(n-k) times that in det(x - m).
         """
         if self.rows != self.cols:
             raise DimensionMismatch("char_poly of non-square matrix")
-        a = self.to_rows()
-        poly = [ONE]  # highest degree first
-        for k in range(self.rows):
-            row = a[k][:k]
-            toeplitz = [ONE, -a[k][k]]
-            v = [a[i][k] for i in range(k)]
+        n = self.rows
+        re = [self.re[i * n:(i + 1) * n] for i in range(n)]
+        im = [self.im[i * n:(i + 1) * n] for i in range(n)]
+        real = not any(self.im)
+
+        def dot(xr, xi, yr, yi):
+            s = sum(map(mul, xr, yr))
+            if real:
+                return s, 0
+            return (s - sum(map(mul, xi, yi)),
+                    sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+        pr, pi = [1], [0]  # highest degree first
+        for k in range(n):
+            rr, ri = re[k][:k], im[k][:k]
+            tr, ti = [1, -re[k][k]], [0, -im[k][k]]
+            vr = [re[i][k] for i in range(k)]
+            vi = [im[i][k] for i in range(k)]
             for step in range(k):
-                toeplitz.append(-_dot(row, v))
+                x, y = dot(rr, ri, vr, vi)
+                tr.append(-x)
+                ti.append(-y)
                 if step < k - 1:
-                    v = [_dot(a[i][:k], v) for i in range(k)]
-            poly = [_dot(toeplitz[i::-1], poly[:i + 1])
-                    for i in range(k + 2)]
-        return tuple(reversed(poly))
+                    v = [dot(re[i][:k], im[i][:k], vr, vi) for i in range(k)]
+                    vr, vi = [x for x, _ in v], [y for _, y in v]
+            p = [dot(tr[i::-1], ti[i::-1], pr[:i + 1], pi[:i + 1])
+                 for i in range(k + 2)]
+            pr, pi = [x for x, _ in p], [y for _, y in p]
+        return tuple(_quotient(pr[j], pi[j], self.den ** j)
+                     for j in range(n, -1, -1))
+
+
+def vec_rows(groups) -> Matrix:
+    """The matrix whose row k is vec of each matrix of groups[k] in turn.
+
+    vec lists a matrix's entries row by row; every group must hold as
+    many entries in all.
+    """
+    groups = [tuple(g) for g in groups]
+    width = sum(m.rows * m.cols for m in groups[0]) if groups else 0
+    if any(sum(m.rows * m.cols for m in g) != width for g in groups):
+        raise DimensionMismatch("vec_rows: groups differ in size")
+    return _new(len(groups), width, *_concat([m for g in groups for m in g]))
 
 
 # ---------------------------------------------------------------------------
 # Fraction-free elimination over the Gaussian integers
 # ---------------------------------------------------------------------------
 
-def _denominator(entries) -> int:
-    """Least common multiple of the denominators of Scalar entries."""
-    return math.lcm(*(x.re.denominator for x in entries),
-                    *(x.im.denominator for x in entries))
-
-
-def _numerators(entries, den: int):
-    """Int lists (re, im) of den times each entry; den must clear them."""
-    return ([x.re.numerator * (den // x.re.denominator) for x in entries],
-            [x.im.numerator * (den // x.im.denominator) for x in entries])
-
-
-def _integer_rows(m: Matrix):
-    """(re, im, scale): row k of m times the lcm of its denominators is
-    re[k] + i*im[k], and scale is the product of those lcms."""
-    re, im, scale = [], [], 1
-    for k in range(m.rows):
-        row = m.entries[k * m.cols:(k + 1) * m.cols]
-        den = _denominator(row)
-        row_re, row_im = _numerators(row, den)
-        re.append(row_re)
-        im.append(row_im)
-        scale *= den
-    return re, im, scale
-
-
 def _eliminate(re, im, cols):
     """Fraction-free Gauss-Jordan elimination over Z[i], in place.
 
-    Row k of the input is re[k] + i*im[k], with int entries.  Returns
-    (den, pivots), den a Gaussian integer (re, im): afterwards row k
-    divided by den is row k of the reduced row echelon form, and the
-    rows from len(pivots) on are zero.  Each step brings every other row
-    to the new pivot a and divides exactly by the previous pivot d, so
-    the entries stay minors of the input.  A row swap negates the row it
-    displaces, so for a square invertible input den is its determinant.
+    Row k of the input is re[k] + i*im[k], with int entries; im is None
+    for a real input, and the imaginary half is then skipped.  Pivots
+    are sought in the first cols columns.  Returns (den, pivots), den a
+    Gaussian integer (re, im): afterwards row k divided by den is row k
+    of the reduced row echelon form, and the rows from len(pivots) on
+    are zero.  Each step brings every other row to the new pivot a and
+    divides exactly by the previous pivot d, so the entries stay minors
+    of the input.  A row swap negates the row it displaces, so for a
+    square invertible input den is its determinant.
     """
     nrows = len(re)
+    real = im is None
     pivots = []
     dr, di = 1, 0
     for c in range(cols):
         r = len(pivots)
         if r == nrows:
             break
-        p = next((k for k in range(r, nrows) if re[k][c] or im[k][c]), None)
+        p = next((k for k in range(r, nrows)
+                  if re[k][c] or not real and im[k][c]), None)
         if p is None:
             continue
         if p != r:
             re[r], re[p] = re[p], [-x for x in re[r]]
-            im[r], im[p] = im[p], [-x for x in im[r]]
-        yr, yi = re[r], im[r]
-        ar, ai = yr[c], yi[c]
+            if not real:
+                im[r], im[p] = im[p], [-x for x in im[r]]
+        yr = re[r]
+        ar = yr[c]
+        if real:
+            for k in range(nrows):
+                xr = re[k]
+                fr = xr[c]
+                if k == r or not fr and ar == dr:
+                    continue
+                sr = [ar * u - fr * s for u, s in zip(xr, yr)]
+                re[k] = [u // dr for u in sr] if dr != 1 else sr
+            pivots.append(c)
+            dr = ar
+            continue
+        yi = im[r]
+        ai = yi[c]
         n = dr * dr + di * di
         for k in range(nrows):
             xr, xi = re[k], im[k]
@@ -454,38 +643,34 @@ def _kernel(rows, pivots, cols):
     return basis
 
 
-def _quotient(p, q, den) -> Scalar:
-    """The Scalar (p + q*i) / den for ints p, q and a Gaussian integer den."""
-    if not (p or q):
-        return ZERO
-    dr, di = den
-    if di:
-        p, q, dr = p * dr + q * di, q * dr - p * di, dr * dr + di * di
-    return Scalar(Fraction(p, dr), Fraction(q, dr))
-
-
 def combination_ranks(mats, tuples, base=None):
     """Yield (t, rank(base + sum_j t[j] * mats[j])) for each int tuple t.
 
-    The matrices are cleared once to one common denominator D; since
+    The numerators are brought to one common denominator D once; since
     rank(D * M) = rank(M), each combination is formed in Gaussian
     integers and ranked by the elimination kernel, with no Scalar built
     per tuple.  base defaults to the zero matrix.
     """
     terms = list(mats) if base is None else [base, *mats]
     rows, cols = terms[0].rows, terms[0].cols
-    den = _denominator([x for m in terms for x in m.entries])
-    flat = [_numerators(m.entries, den) for m in terms]
-    start = ([0] * (rows * cols),) * 2 if base is None else flat.pop(0)
+    den = math.lcm(*(m.den for m in terms))
+    real = not any(any(m.im) for m in terms)
+    flat = [([x * (den // m.den) for x in m.re],
+             None if real else [x * (den // m.den) for x in m.im])
+            for m in terms]
+    zero = [0] * (rows * cols)
+    start = (zero, None if real else zero) if base is None else flat.pop(0)
     for t in tuples:
         acc_re, acc_im = start
         for c, (mr, mi) in zip(t, flat):
             if c:
                 acc_re = [a + c * b for a, b in zip(acc_re, mr)]
-                acc_im = [a + c * b for a, b in zip(acc_im, mi)]
+                if not real:
+                    acc_im = [a + c * b for a, b in zip(acc_im, mi)]
         _, pivots = _eliminate(
-            [acc_re[k:k + cols] for k in range(0, rows * cols, cols)],
-            [acc_im[k:k + cols] for k in range(0, rows * cols, cols)], cols)
+            [acc_re[k * cols:(k + 1) * cols] for k in range(rows)],
+            None if real else
+            [acc_im[k * cols:(k + 1) * cols] for k in range(rows)], cols)
         yield t, len(pivots)
 
 
@@ -718,18 +903,7 @@ def jordan_decompose(m: Matrix, hints=None):
 
 def _apply(mat: Matrix, vec):
     """mat @ vec for a column given as a list."""
-    n = mat.cols
-    return [_dot(mat.entries[start:start + n], vec)
-            for start in range(0, mat.rows * n, n)]
-
-
-def _dot(xs, ys) -> Scalar:
-    """Exact sum of xs[i] * ys[i], skipping zero terms."""
-    acc = ZERO
-    for x, y in zip(xs, ys):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
+    return list((mat @ Matrix(len(vec), 1, vec)).entries)
 
 
 def commutant_basis(blocks):

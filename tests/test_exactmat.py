@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sloccanon import exactmat
 from sloccanon.errors import CheckFailed, NotInField, SingularMatrix
@@ -147,10 +147,11 @@ wide_fractions = st.one_of(
 
 
 @st.composite
-def matrices(draw, max_rows=7, max_cols=9, square=False):
+def matrices(draw, max_rows=7, max_cols=9, square=False, rows=None):
     """Real or complex matrices from 0 x 0 to 7 x 9, some rows linear
-    combinations of earlier ones, some rows and columns zero."""
-    n_rows = draw(st.integers(0, max_rows))
+    combinations of earlier ones, some rows and columns zero; rows fixes
+    the number of rows."""
+    n_rows = draw(st.integers(0, max_rows)) if rows is None else rows
     n_cols = n_rows if square else draw(st.integers(0, max_cols))
     real = draw(st.booleans())
     imag = st.just(Fraction(0)) if real else wide_fractions
@@ -168,6 +169,51 @@ def matrices(draw, max_rows=7, max_cols=9, square=False):
     return Matrix(n_rows, n_cols, [
         Scalar.of(0) if i in zero_rows or j in zero_cols else rows[i][j]
         for i in range(n_rows) for j in range(n_cols)])
+
+
+def _reference_matmul(a, b):
+    """Entry (i, j) as a plain Scalar dot product of row i and column j."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Scalar.of(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matmul_matches_scalar_reference(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.to_rows() == _reference_matmul(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_equality_is_canonical(data):
+    a = data.draw(matrices(max_rows=5, square=True))
+    b = data.draw(matrices(square=True, rows=a.rows))
+    n = a.rows
+
+    def same(x, y):
+        assert x == y and hash(x) == hash(y)
+
+    same(M([[Fraction(2, 4), 3]]), M([[Fraction(1, 2), Fraction(6, 2)]]))
+    same(M([[1, -2], [0, 5]]),
+         M([[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(5)]]))
+    same((a + b) - b, a)
+    same(a.transpose().transpose(), a)
+    same(a.scale(2).scale(Fraction(1, 2)), a)
+    if a.rank() == n:
+        same(a @ a.inverse(), Matrix.identity(n))
+    zero = a - a
+    same(zero, Matrix.zero(n, n))
+    assert zero.den == 1 and M([[Fraction(0, 5)]]).den == 1
+    product = a @ b
+    assert isinstance(product.entries, tuple)
+    assert all(type(e) is Scalar for e in product.entries)
+    for name in ("rows", "den", "re", "im", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(product, name, None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,6 +295,9 @@ def test_cayley_hamilton(vals):
 
 
 @settings(max_examples=40, deadline=None)
+@example(M([[sc(Fraction(1, 2), 3), sc(0, Fraction(-2, 7)), sc(5)],
+            [sc(Fraction(4, 9)), sc(-1, Fraction(1, 6)), sc(0)],
+            [sc(0, 1), sc(Fraction(-3, 4)), sc(Fraction(2, 5), -1)]]))
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(sparse_scalars, min_size=n * n, max_size=n * n)
     .map(lambda vals: Matrix(n, n, vals))))
