@@ -203,17 +203,6 @@ def _make(rows, cols, den, re, im) -> "Matrix":
     return _new(rows, cols, den, re, im)
 
 
-def _divided(rows, cols, re, im, dr, di) -> "Matrix":
-    """The Matrix of entries (re[k] + im[k]*i) / (dr + di*i), d != 0."""
-    if di:
-        re, im, dr = ([p * dr + q * di for p, q in zip(re, im)],
-                      [q * dr - p * di for p, q in zip(re, im)],
-                      dr * dr + di * di)
-    elif dr < 0:
-        re, im, dr = [-x for x in re], [-x for x in im], -dr
-    return _make(rows, cols, dr, re, im)
-
-
 def _concat(mats):
     """(den, re, im): the numerators of mats one after another, brought
     to their least common denominator, which keeps them reduced."""
@@ -481,9 +470,10 @@ class Matrix:
             self.augment(Matrix.identity(n))._reduce()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return _divided(n, n, [x for r in re for x in r[n:]],
-                        (0,) * (n * n) if im is None else
-                        [x for r in im for x in r[n:]], dr, di)
+        return _make(n, n, 1, [x for r in re for x in r[n:]],
+                     (0,) * (n * n) if im is None else
+                     [x for r in im for x in r[n:]]).scale(
+                         _quotient(1, 0, dr, di))
 
     def det(self) -> Scalar:
         if self.rows != self.cols:
@@ -877,23 +867,22 @@ def jordan_decompose(m: Matrix, hints=None):
         e = Matrix.identity(n)
         b = m - e.scale(lam)
         powers = [e, b]
-        nulls = [[], b.nullspace()]
+        nulls = [[], _kernel_columns(b)]
         while len(nulls[-1]) < mult:
             powers.append(b @ powers[-1])
-            nulls.append(powers[-1].nullspace())
+            nulls.append(_kernel_columns(powers[-1]))
         top = len(nulls) - 1
         chains = []  # (top vector, height), heights non-increasing
         for k in range(top, 0, -1):
-            known = nulls[k - 1] + [_apply(powers[h - k], v)
-                                    for v, h in chains]
-            _, pivots = Matrix.from_columns(known + nulls[k]).rref()
+            known = nulls[k - 1] + [powers[h - k] @ v for v, h in chains]
+            _, pivots = _beside(known + nulls[k]).rref()
             chains.extend((nulls[k][p - len(known)], k)
                           for p in pivots if p >= len(known))
         for v, h in chains:
             for j in range(h - 1, -1, -1):
-                columns.append(_apply(powers[j], v))
+                columns.append(powers[j] @ v)
             blocks.append((lam, h))
-    s = Matrix.from_columns(columns)
+    s = Matrix.from_columns([c.entries for c in columns])
     if blocks != sorted(blocks, key=lambda b: (b[0].sort_key(), -b[1])):
         raise CheckFailed(f"Jordan blocks out of the normal order: {blocks}")
     if s.rank() != n or m @ s != s @ jordan_matrix(blocks):
@@ -901,9 +890,14 @@ def jordan_decompose(m: Matrix, hints=None):
     return s, tuple(blocks)
 
 
-def _apply(mat: Matrix, vec):
-    """mat @ vec for a column given as a list."""
-    return list((mat @ Matrix(len(vec), 1, vec)).entries)
+def _kernel_columns(m: Matrix):
+    """The nullspace basis of m as n x 1 matrices."""
+    return [Matrix(m.cols, 1, v) for v in m.nullspace()]
+
+
+def _beside(columns) -> Matrix:
+    """The matrix whose columns are the n x 1 matrices of columns."""
+    return vec_rows([c] for c in columns).transpose()
 
 
 def commutant_basis(blocks):
