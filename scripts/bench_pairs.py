@@ -14,8 +14,9 @@ machine's speed falls on both sides alike.
 The output file holds, per workload, every run's metrics with its
 ``correct``/``failed`` fields, and per end-to-end metric of
 ``BENCHMARK.json`` the median and quartiles of each side and the number
-of pairs that the change won (a tie counts for neither side).  It also
-names both commits, the CPU and its core count, and the Python and sympy
+of pairs that the change won (a tie counts for neither side), with a
+verdict against the metric's ``bound`` (see ``verdict``).  It also names
+both commits, the CPU and its core count, and the Python and sympy
 versions.  Running the script again with another workload adds that
 workload to an existing file of the same two commits.
 """
@@ -46,12 +47,36 @@ def _spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better):
-    """Per-metric spread of both sides and the change's wins.
+def verdict(parent, change, wins, pairs, direction, bound):
+    """"better", "flat", "worse" or "unresolved" for one metric.
+
+    parent and change are the values of each side's runs, wins the
+    pairs that the change won out of pairs, and bound the relative
+    change that BENCHMARK.json allows.  The metric is unresolved when
+    the parent's quartile spread exceeds bound times its median, unless
+    every run of the change beats every run of the parent.  Otherwise it
+    is better when the change wins nine pairs in ten and its median
+    beats the parent's by more than that spread, worse when its median
+    is behind by more than bound, and flat in between.
+    """
+    sign = 1 if direction == "higher" else -1
+    p, c = _spread(parent), _spread(change)
+    iqr, scale = p["q3"] - p["q1"], abs(p["median"])
+    dominates = min(sign * v for v in change) > max(sign * v for v in parent)
+    gain = sign * (c["median"] - p["median"])
+    if iqr > bound * scale and not dominates:
+        return "unresolved"
+    if wins >= 0.9 * pairs and gain > iqr:
+        return "better"
+    return "worse" if -gain > bound * scale else "flat"
+
+
+def summarize(pairs, better, bounds):
+    """Per-metric spread of both sides, the change's wins and a verdict.
 
     pairs is a list of (parent result, change result), each the JSON
     object of one run or None when the run printed none; better maps a
-    metric name to "higher" or "lower".
+    metric name to "higher" or "lower", and bounds maps it to its bound.
     """
     out = {}
     for name, direction in better.items():
@@ -75,7 +100,11 @@ def summarize(pairs, better):
                          "parent": _spread(values["parent"]),
                          "change": _spread(values["change"]),
                          "change_wins": wins, "parent_wins": losses,
-                         "pairs": len(pairs)}
+                         "pairs": len(pairs),
+                         "verdict": verdict(values["parent"],
+                                            values["change"], wins,
+                                            len(pairs), direction,
+                                            bounds[name])}
     return out
 
 
@@ -136,6 +165,7 @@ def main(argv=None):
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     doc = {"parent": _checkout(args.parent),
            "change": _checkout(args.change), "machine": _machine(),
@@ -160,7 +190,7 @@ def main(argv=None):
                   f"{record['metrics']}", file=sys.stderr)
         pairs.append((results["parent"], results["change"]))
     doc["workloads"][args.workload] = {
-        "seeds": args.seeds, "summary": summarize(pairs, better),
+        "seeds": args.seeds, "summary": summarize(pairs, better, bounds),
         "runs": runs}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

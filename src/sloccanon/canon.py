@@ -329,19 +329,17 @@ def rank_normal_form(m: Matrix):
     """(p, q, r) invertible with p @ m @ q == diag(I_r, 0)."""
     n_rows, n_cols = m.rows, m.cols
     red, aug_pivots = m.augment(Matrix.identity(n_rows)).rref()
-    p = Matrix.from_rows([r[n_cols:] for r in red])
+    p = red.submatrix(range(n_rows), range(n_cols, n_cols + n_rows))
     # x = p @ m, the first n_cols columns of red, is the reduced echelon
     # form of m: its pivots are those of [m | I] that fall in m's columns
     pivots = [c for c in aug_pivots if c < n_cols]
     r = len(pivots)
     # x takes the unit vector at its k-th pivot to e_k and its nullspace
     # to zero, so x @ q = diag(I_r, 0)
-    q = Matrix.from_columns(
-        [[ONE if i == c else ZERO for i in range(n_cols)] for c in pivots]
-        + _kernel(red, pivots, n_cols))
-    expected = Matrix.from_rows([[ONE if (i == j and i < r) else ZERO
-                                  for j in range(n_cols)]
-                                 for i in range(n_rows)])
+    q = Matrix.identity(n_cols).submatrix(range(n_cols), pivots).augment(
+        _kernel(red, pivots, n_cols))
+    expected = Matrix.identity(n_rows).submatrix(
+        range(n_rows), range(r)).augment(Matrix.zero(n_rows, n_cols - r))
     if p @ m @ q != expected:
         raise CheckFailed("p m q differs from diag(I_r, 0)")
     return p, q, r
@@ -361,21 +359,16 @@ def _endomorphism_basis(mats):
                 for k in range(c_dim):
                     row[nr + k * c_dim + b] = row[nr + k * c_dim + b] - m[a, k]
                 rows.append(row)
-    null = Matrix.from_rows(rows).nullspace() if rows else []
-    basis = []
-    for v in null:
-        rmat = Matrix.from_rows([[v[i * r_dim + k] for k in range(r_dim)]
-                                 for i in range(r_dim)])
-        cmat = Matrix.from_rows([[v[nr + i * c_dim + k] for k in range(c_dim)]
-                                 for i in range(c_dim)])
-        basis.append((rmat, cmat))
-    return basis
+    null = Matrix.from_rows(rows).nullspace() if rows else Matrix.zero(0, 0)
+    # a kernel column is vec R followed by vec C
+    return [(Matrix(r_dim, r_dim, v[:nr]), Matrix(c_dim, c_dim, v[nr:]))
+            for v in map(null.column, range(null.cols))]
 
 
-def _column_space(m: Matrix):
-    """Deterministic basis (list of column vectors) of the column space."""
+def _column_space(m: Matrix) -> Matrix:
+    """Deterministic basis of the column space: m's pivot columns."""
     _, pivots = m.rref()
-    return [m.column(j) for j in pivots]
+    return m.submatrix(range(m.rows), pivots)
 
 
 def _trace_pairing(basis, others) -> Matrix:
@@ -461,8 +454,8 @@ def _centre_mod_radical(basis):
                    for (ra, ca), (rb, cb) in itertools.combinations(basis, 2)]
     if not commutators:
         return list(basis)
-    coeffs = Matrix.from_rows(
-        _trace_pairing(basis, commutators).transpose().nullspace())
+    coeffs = _trace_pairing(basis, commutators).transpose().nullspace() \
+        .transpose()
     return list(zip(_mix(coeffs, [r for r, _ in basis]),
                     _mix(coeffs, [c for _, c in basis])))
 
@@ -481,10 +474,10 @@ def _fitting_projector(m: Matrix, lam: Scalar) -> Matrix:
         k, power = k @ k, 2 * power
     red, pivots = k.rref()
     kernel = _kernel(red, pivots, n)
-    if not kernel:
+    if not kernel.cols:
         return Matrix.zero(n, n)
-    u = Matrix.from_columns(kernel + [k.column(j) for j in pivots])
-    d = Matrix.diagonal([1] * len(kernel) + [0] * (n - len(kernel)))
+    u = kernel.augment(k.submatrix(range(n), pivots))
+    d = Matrix.diagonal([1] * kernel.cols + [0] * len(pivots))
     return u @ d @ u.inverse()
 
 
@@ -496,13 +489,13 @@ def _apply_projector(piece, p_r: Matrix, p_c: Matrix):
     """
     rows, cols = piece[0].rows, piece[0].cols
     im_r, im_c = _column_space(p_r), _column_space(p_c)
-    ra, ca = len(im_r), len(im_c)
+    ra, ca = im_r.cols, im_c.cols
     if not (p_r @ p_r == p_r and p_c @ p_c == p_c) or \
             (ra, ca) in ((0, 0), (rows, cols)):
         raise CheckFailed("projector pair is not a nontrivial idempotent")
-    u_inv = Matrix.from_columns(
-        im_r + _column_space(Matrix.identity(rows) - p_r)).inverse()
-    v = Matrix.from_columns(im_c + _column_space(Matrix.identity(cols) - p_c))
+    u_inv = im_r.augment(
+        _column_space(Matrix.identity(rows) - p_r)).inverse()
+    v = im_c.augment(_column_space(Matrix.identity(cols) - p_c))
     blocks = [u_inv @ m @ v for m in piece]
     if not all(w.submatrix(range(ra), range(ca, cols)).is_zero() and
                w.submatrix(range(ra, rows), range(ca)).is_zero()

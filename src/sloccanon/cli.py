@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, default in (("--z1", "0"), ("--z2", "0"), ("--z3", "0"),
                           ("--d2", "1"), ("--d3", "1")):
         p.add_argument(flag, default=default, dest=flag.lstrip("-"))
-    p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_symmetry_map)
 

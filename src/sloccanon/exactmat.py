@@ -18,9 +18,12 @@ Gauss-Jordan elimination over the Gaussian integers, which brings every
 row to the current pivot and divides exactly by the previous one
 (Bareiss, Math. Comp. 22, 1968; the Gauss-Jordan form is that of Nakos,
 Turner and Williams, 1997).  The result is the reduced row echelon form
-times one common denominator.  Because the reduced row echelon form of a
-matrix is unique, rref and everything built on it return exactly what
-Gauss-Jordan elimination in Fractions returns.
+times one common denominator, which rref turns into a Matrix in ints;
+nullspace (through ``_kernel``) and inverse read their results off that
+Matrix, so every reduced form, vector and basis this module hands back
+is a Matrix.  Because the reduced row echelon form of a matrix is
+unique, rref and everything built on it return exactly what Gauss-Jordan
+elimination in Fractions returns.
 
 Eigenvalues come from the characteristic polynomial F.  Hints are
 tested by exact substitution; the rest of F is searched for roots in
@@ -302,10 +305,6 @@ class Matrix:
             c0 += b.cols
         return _new(rows, cols, den, tuple(re), tuple(im))
 
-    @staticmethod
-    def from_columns(cols) -> "Matrix":
-        return Matrix.from_rows(cols).transpose()
-
     # -- access -------------------------------------------------------------
 
     @property
@@ -340,8 +339,16 @@ class Matrix:
         """The matrix [self | other] of the columns of both."""
         if self.rows != other.rows:
             raise DimensionMismatch("augment: row counts differ")
-        return _new(self.cols + other.cols, self.rows, *_concat(
-            [self.transpose(), other.transpose()])).transpose()
+        den, re, im = _concat([self, other])
+        a, b, split = self.cols, other.cols, self.rows * self.cols
+        halves = []
+        for flat in (re, im):
+            out = []
+            for i in range(self.rows):
+                out += flat[i * a:(i + 1) * a]
+                out += flat[split + i * b:split + (i + 1) * b]
+            halves.append(tuple(out))
+        return _new(self.rows, a + b, den, *halves)
 
     # -- algebra ------------------------------------------------------------
 
@@ -441,39 +448,34 @@ class Matrix:
         return re, im, den, pivots
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (Matrix, pivot column list)."""
         re, im, (dr, di), pivots = self._reduce()
-        if im is None:
-            return [[_quotient(p, 0, dr) for p in rr] for rr in re], pivots
-        return ([[_quotient(p, q, dr, di) for p, q in zip(rr, ri)]
-                 for rr, ri in zip(re, im)], pivots)
+        re = [x for r in re for x in r]
+        im = (0,) * len(re) if im is None else [x for r in im for x in r]
+        if di:  # (u + vi) / d = (u + vi) * conj(d) / |d|^2
+            re, im, dr = ([u * dr + v * di for u, v in zip(re, im)],
+                          [v * dr - u * di for u, v in zip(re, im)],
+                          dr * dr + di * di)
+        elif dr < 0:
+            re, im, dr = [-x for x in re], [-x for x in im], -dr
+        return _make(self.rows, self.cols, dr, re, im), pivots
 
     def rank(self) -> int:
         return len(self._reduce()[3])
 
-    def nullspace(self):
-        """Deterministic basis of the right nullspace (list of columns)."""
-        re, im, (dr, di), pivots = self._reduce()
-        # _kernel reads only the free columns of the pivot rows
-        free = [c for c in range(self.cols) if c not in pivots]
-        rows = [{c: _quotient(re[r][c], 0 if im is None else im[r][c],
-                              dr, di) for c in free}
-                for r in range(len(pivots))]
-        return _kernel(rows, pivots, self.cols)
+    def nullspace(self) -> "Matrix":
+        """Deterministic basis of the right nullspace, one column each."""
+        return _kernel(*self.rref(), self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise SingularMatrix("inverse of non-square matrix")
         n = self.rows
-        # [m | I] reduces to d [I | m^-1], d the Gaussian integer den
-        re, im, (dr, di), pivots = \
-            self.augment(Matrix.identity(n))._reduce()
+        # [m | I] reduces to [I | m^-1]
+        red, pivots = self.augment(Matrix.identity(n)).rref()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return _make(n, n, 1, [x for r in re for x in r[n:]],
-                     (0,) * (n * n) if im is None else
-                     [x for r in im for x in r[n:]]).scale(
-                         _quotient(1, 0, dr, di))
+        return red.submatrix(range(n), range(n, 2 * n))
 
     def det(self) -> Scalar:
         if self.rows != self.cols:
@@ -616,21 +618,23 @@ def _eliminate(re, im, cols):
     return (dr, di), pivots
 
 
-def _kernel(rows, pivots, cols):
+def _kernel(red, pivots, cols):
     """Right nullspace basis of a matrix from its reduced echelon form.
 
-    rows are the reduced rows, possibly with more columns after the
-    first cols, and pivots the pivot columns below cols.  One vector per
-    free column, in column order.
+    red is the reduced form, possibly with more columns after the first
+    cols, and pivots its pivot columns below cols.  Returns the cols x k
+    matrix with one column per free column, in column order: 1 in its
+    free column, minus that column of red in the pivot rows, else 0.
     """
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[fc] = ONE
+    free = [c for c in range(cols) if c not in pivots]
+    k, w = len(free), red.cols
+    re, im = [0] * (cols * k), [0] * (cols * k)
+    for j, fc in enumerate(free):
+        re[fc * k + j] = red.den
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
+            re[pc * k + j] = -red.re[r * w + fc]
+            im[pc * k + j] = -red.im[r * w + fc]
+    return _make(cols, k, red.den, re, im)
 
 
 def combination_ranks(mats, tuples, base=None):
@@ -861,43 +865,34 @@ def jordan_decompose(m: Matrix, hints=None):
             mults[-1][1] += 1
         else:
             mults.append([lam, 1])
-    columns = []
+    s = Matrix.zero(n, 0)
     blocks = []
     for lam, mult in mults:
         e = Matrix.identity(n)
         b = m - e.scale(lam)
         powers = [e, b]
-        nulls = [[], _kernel_columns(b)]
-        while len(nulls[-1]) < mult:
+        nulls = [Matrix.zero(n, 0), b.nullspace()]
+        while nulls[-1].cols < mult:
             powers.append(b @ powers[-1])
-            nulls.append(_kernel_columns(powers[-1]))
+            nulls.append(powers[-1].nullspace())
         top = len(nulls) - 1
         chains = []  # (top vector, height), heights non-increasing
         for k in range(top, 0, -1):
-            known = nulls[k - 1] + [powers[h - k] @ v for v, h in chains]
-            _, pivots = _beside(known + nulls[k]).rref()
-            chains.extend((nulls[k][p - len(known)], k)
-                          for p in pivots if p >= len(known))
+            known = nulls[k - 1]
+            for v, h in chains:
+                known = known.augment(powers[h - k] @ v)
+            _, pivots = known.augment(nulls[k]).rref()
+            chains.extend((nulls[k].submatrix(range(n), [p - known.cols]), k)
+                          for p in pivots if p >= known.cols)
         for v, h in chains:
             for j in range(h - 1, -1, -1):
-                columns.append(powers[j] @ v)
+                s = s.augment(powers[j] @ v)
             blocks.append((lam, h))
-    s = Matrix.from_columns([c.entries for c in columns])
     if blocks != sorted(blocks, key=lambda b: (b[0].sort_key(), -b[1])):
         raise CheckFailed(f"Jordan blocks out of the normal order: {blocks}")
     if s.rank() != n or m @ s != s @ jordan_matrix(blocks):
         raise CheckFailed("s is not a Jordan basis of m")
     return s, tuple(blocks)
-
-
-def _kernel_columns(m: Matrix):
-    """The nullspace basis of m as n x 1 matrices."""
-    return [Matrix(m.cols, 1, v) for v in m.nullspace()]
-
-
-def _beside(columns) -> Matrix:
-    """The matrix whose columns are the n x 1 matrices of columns."""
-    return vec_rows([c] for c in columns).transpose()
 
 
 def commutant_basis(blocks):

@@ -191,20 +191,24 @@ def _constant_system(blocks1, blocks2):
         rhs.append(-lam2)
         rows.append([a02 * lam, a02 * a0, ZERO, ZERO, -a0])
         rhs.append(-a02)
-    return Matrix.from_rows(rows), rhs
+    return Matrix.from_rows(rows), Matrix(len(rhs), 1, rhs)
 
 
-def _solve_affine(a: Matrix, rhs):
-    """(particular, nullspace basis) of a x = rhs, or None if infeasible."""
-    aug = Matrix.from_rows([a.row(i) + [rhs[i]] for i in range(a.rows)])
-    red, pivots = aug.rref()
+def _solve_affine(a: Matrix, rhs: Matrix):
+    """(particular, nullspace basis) of a x = rhs, or None if infeasible.
+
+    Both are matrices with a.cols rows: the particular solution is one
+    column, and the basis has one column per free parameter.
+    """
+    red, pivots = a.augment(rhs).rref()
     if a.cols in pivots:
         return None
-    particular = [ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        particular[p] = red[r][a.cols]
-    # feasible, so every pivot lies in a's columns: red holds a's rref
-    return particular, _kernel(red, pivots, a.cols)
+    # rhs's column is the last free one, and its kernel column is (-x, 1)
+    # for the solution x that vanishes on a's free columns; the others
+    # are a's nullspace basis with a 0 below
+    kernel = _kernel(red, pivots, a.cols + 1)
+    rows, k = range(a.cols), kernel.cols - 1
+    return -kernel.submatrix(rows, [k]), kernel.submatrix(rows, range(k))
 
 
 def _field_element(k, s: Scalar):
@@ -243,20 +247,20 @@ def _witness_candidates(blocks1, blocks2):
     if sol is None:
         return [], False
     particular, basis = sol
-    if not basis:
-        sp = _params_from_entries(particular)
+    if not basis.cols:
+        sp = _params_from_entries(particular.entries)
         return ([sp] if sp else []), False
     import sympy
     from sympy.polys.domains import QQ_I
     from sympy.polys.fields import field
 
-    syms = sympy.symbols(f"s0:{len(basis)}")
+    syms = sympy.symbols(f"s0:{basis.cols}")
     k, *gens = field(syms, QQ_I)
     entries = []
     for i in range(5):
-        e = _field_element(k, particular[i])
-        for s, b in zip(gens, basis):
-            e = e + s * _field_element(k, b[i])
+        e = _field_element(k, particular[i, 0])
+        for j, s in enumerate(gens):
+            e = e + s * _field_element(k, basis[i, j])
         entries.append(e)
     try:
         eqs = _residual_equations(blocks1, blocks2, entries)

@@ -482,9 +482,10 @@ def test_rank_normal_form_check_raises_domain_error(monkeypatch):
     real_rref = Matrix.rref
 
     def skewed(self):
-        rows, pivots = real_rref(self)
-        rows[0] = [e + e for e in rows[0]]
-        return rows, pivots
+        red, pivots = real_rref(self)
+        # the first row doubled
+        double = Matrix.diagonal([2] + [1] * (red.rows - 1))
+        return double @ red, pivots
 
     monkeypatch.setattr(Matrix, "rref", skewed)
     with pytest.raises(CheckFailed):

@@ -467,6 +467,8 @@ def test_canonicalize_unwritable_output_is_a_parse_error(tmp_path, capsys):
     [],
     # selftest runs serially since its --jobs option went
     ["selftest", "--jobs", "2"],
+    # symmetry-map always writes JSON, so it takes no --json
+    ["symmetry-map", "{canon}", "--json"],
 ])
 def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, argv):
     files = {"state": write_json(tmp_path / "s.json", state_obj(
@@ -525,6 +527,21 @@ def test_equiv_undecided_on_derogatory(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code in (0, 2)
     assert payload["decision"] in ("equivalent", "undecided")
+
+
+def test_equiv_inequivalent_on_derogatory_with_other_sizes(tmp_path,
+                                                          capsys):
+    # the block sizes of a form are invariants of its orbit, so forms
+    # with different size multisets are inequivalent, derogatory or not
+    a = write_json(tmp_path / "a.json", {"blocks": [
+        {"lambda": "1", "sizes": [2, 1],
+         "grid": [[["1", "2"], ["0", "0"]], [["0", "0"], ["3", "0"]]]}]})
+    b = write_json(tmp_path / "b.json", {"blocks": [
+        {"lambda": "1", "sizes": [1, 1, 1],
+         "grid": [[["1"], ["0"], ["0"]], [["0"], ["2"], ["0"]],
+                  [["0"], ["0"], ["3"]]]}]})
+    assert main(["equiv", a, b, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"decision": "inequivalent"}
 
 
 # equiv --json bytes, recorded while the witness search had a branch of

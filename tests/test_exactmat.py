@@ -219,7 +219,9 @@ def test_matrix_equality_is_canonical(data):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_matches_fraction_reference(m):
-    assert m.rref() == _reference_rref(m)
+    red, pivots = m.rref()
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert (red.to_rows(), pivots) == _reference_rref(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,9 +244,15 @@ def test_inverse_and_det_match_rank(m):
 @given(matrices())
 def test_nullspace_is_kernel_of_right_dimension(m):
     basis = m.nullspace()
-    assert len(basis) == m.cols - m.rank()
-    for v in basis:
-        assert (m @ Matrix(m.cols, 1, v)).is_zero()
+    _, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    assert (basis.rows, basis.cols) == (m.cols, m.cols - m.rank())
+    assert (m @ basis).is_zero()
+    # the output bytes rest on this convention: one column per free
+    # column of the reduced form, in order, with a 1 in its own free
+    # column and 0 in the others
+    assert basis.submatrix(free, range(basis.cols)) == \
+        Matrix.identity(len(free))
 
 
 # Few distinct values, so that combinations often cancel and the rank
@@ -447,11 +455,11 @@ def test_jordan_checks_raise_domain_errors(monkeypatch):
         jordan_decompose(M([[2, 0], [0, 3]]))
     monkeypatch.undo()
     # a singular s passes m @ s == s @ J (s = 0 does); the rank check
-    # must reject it.  diag(2, 3) builds only its final s from two columns
-    real_from_columns = Matrix.from_columns
-    monkeypatch.setattr(Matrix, "from_columns", staticmethod(
-        lambda cols: Matrix.zero(2, 2) if len(cols) == 2
-        else real_from_columns(cols)))
+    # must reject it.  diag(2, 3) augments to two columns only its final s
+    real_augment = Matrix.augment
+    monkeypatch.setattr(Matrix, "augment", lambda self, other: (
+        Matrix.zero(2, 2) if self.cols + other.cols == 2
+        else real_augment(self, other)))
     with pytest.raises(CheckFailed):
         jordan_decompose(M([[2, 0], [0, 3]]))
 
